@@ -10,8 +10,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -49,20 +51,39 @@ func main() {
 				a.Name, a.ContainerImageBytes>>20, a.InputBytes>>20, a.ExecCPU)
 		}
 	case "runp":
-		runp(os.Args[2:])
+		if err := runp(os.Args[2:], os.Stdout); err != nil {
+			fmt.Fprintln(os.Stderr, "fastiovctl:", err)
+			if errors.As(err, new(usageError)) {
+				os.Exit(2)
+			}
+			os.Exit(1)
+		}
 	default:
 		usage()
 	}
 }
 
-func runp(args []string) {
-	fs := flag.NewFlagSet("runp", flag.ExitOnError)
+// usageError marks a bad invocation (exit 2), as opposed to a run that
+// failed (exit 1).
+type usageError struct{ error }
+
+// runp starts -count pods concurrently and prints their timings to stdout.
+func runp(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("runp", flag.ContinueOnError)
 	count := fs.Int("count", 10, "pods to start")
 	baseline := fs.String("baseline", fastiov.BaselineFastIOV, "baseline configuration")
 	appName := fs.String("app", "", "serverless app to run in each pod")
 	teardown := fs.Bool("teardown", false, "stop pods afterwards")
 	verbose := fs.Bool("v", false, "per-pod output")
-	fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return usageError{err}
+	}
+	if *count < 1 {
+		return usageError{fmt.Errorf("runp: -count must be at least 1, got %d", *count)}
+	}
 
 	var app *fastiov.App
 	if *appName != "" {
@@ -73,20 +94,17 @@ func runp(args []string) {
 			}
 		}
 		if app == nil {
-			fmt.Fprintf(os.Stderr, "fastiovctl: unknown app %q\n", *appName)
-			os.Exit(1)
+			return fmt.Errorf("unknown app %q", *appName)
 		}
 	}
 
 	opts, err := fastiov.OptionsFor(*baseline)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "fastiovctl:", err)
-		os.Exit(1)
+		return err
 	}
 	host, err := fastiov.NewHost(fastiov.DefaultHostSpec(), opts)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "fastiovctl:", err)
-		os.Exit(1)
+		return err
 	}
 
 	type podResult struct {
@@ -127,8 +145,7 @@ func runp(args []string) {
 	}
 	host.K.Run()
 	if failed != nil {
-		fmt.Fprintln(os.Stderr, "fastiovctl:", failed)
-		os.Exit(1)
+		return failed
 	}
 
 	var sumStart, sumComp, maxStart time.Duration
@@ -138,7 +155,7 @@ func runp(args []string) {
 			if app != nil {
 				line += fmt.Sprintf(" completion=%v", r.completion.Round(time.Millisecond))
 			}
-			fmt.Println(line)
+			fmt.Fprintln(stdout, line)
 		}
 		sumStart += r.startup
 		sumComp += r.completion
@@ -146,16 +163,17 @@ func runp(args []string) {
 			maxStart = r.startup
 		}
 	}
-	fmt.Printf("%d pods, baseline=%s: avg startup %v, max %v\n",
+	fmt.Fprintf(stdout, "%d pods, baseline=%s: avg startup %v, max %v\n",
 		*count, *baseline,
 		(sumStart / time.Duration(*count)).Round(time.Millisecond),
 		maxStart.Round(time.Millisecond))
 	if app != nil {
-		fmt.Printf("app=%s: avg completion %v\n", app.Name,
+		fmt.Fprintf(stdout, "app=%s: avg completion %v\n", app.Name,
 			(sumComp / time.Duration(*count)).Round(time.Millisecond))
 	}
 	if *teardown {
-		fmt.Printf("teardown complete: %d free VFs, %d free pages\n",
+		fmt.Fprintf(stdout, "teardown complete: %d free VFs, %d free pages\n",
 			host.NIC.FreeVFs(), host.Mem.FreePages())
 	}
+	return nil
 }

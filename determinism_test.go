@@ -25,12 +25,58 @@ var seedInsensitive = map[string]string{
 // one seed and returns the report's canonical encoding.
 func runAt(t *testing.T, id string, seed uint64) []byte {
 	t.Helper()
+	rep, _ := runWithStats(t, id, seed)
+	return rep
+}
+
+// runWithStats is runAt that also returns the suite's cache traffic as
+// (Runs, Hits).
+func runWithStats(t *testing.T, id string, seed uint64) ([]byte, [2]int) {
+	t.Helper()
 	s := fastiov.NewSuite(fastiov.RunConfig{Workers: 1, Seeds: []uint64{seed}})
 	rep, err := s.Run(id, testConcurrency)
 	if err != nil {
 		t.Fatalf("%s @seed=%d: %v", id, seed, err)
 	}
-	return rep.Encode()
+	st := s.CacheStats()
+	return rep.Encode(), [2]int{st.Runs, st.Hits}
+}
+
+// wantCacheTraffic pins each experiment's scenario-cache traffic (Runs,
+// Hits) on a fresh single-seed suite at testConcurrency. Runs counts
+// scenario and boot-snapshot simulations; Hits counts the requests the
+// cache absorbed. A cache-key or observer-inheritance slip that splits
+// one scenario into two, or merges two into one, moves these numbers.
+var wantCacheTraffic = map[string][2]int{
+	"abl-busscan":   {6, 0},
+	"abl-pagesize":  {6, 0},
+	"abl-scrubber":  {6, 2},
+	"abl-slotreset": {4, 0},
+	"availability":  {6, 0},
+	"bg-dataplane":  {3, 0},
+	"chaos":         {10, 0},
+	"contention":    {4, 0},
+	"ext-arrivals":  {8, 4},
+	"fig1":          {8, 4},
+	"fig11":         {20, 0},
+	"fig12":         {8, 0},
+	"fig13a":        {8, 4},
+	"fig13b":        {12, 0},
+	"fig13c":        {12, 0},
+	"fig14":         {4, 0},
+	"fig15":         {10, 6},
+	"fig16a-d":      {26, 22},
+	"fig16e-h":      {30, 18},
+	"fig16i-l":      {30, 18},
+	"fig5":          {2, 0},
+	"fleet":         {20, 0},
+	"future-vdpa":   {6, 0},
+	"recovery":      {11, 0},
+	"saturation":    {6, 2},
+	"sec6.5":        {2, 0},
+	"serving":       {14, 0},
+	"slowatch":      {6, 0},
+	"tab1":          {2, 0},
 }
 
 // TestExperimentDeterminism is the suite-wide determinism property: every
@@ -45,7 +91,10 @@ func TestExperimentDeterminism(t *testing.T) {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			t.Parallel()
-			a := runAt(t, e.ID, 7)
+			a, st := runWithStats(t, e.ID, 7)
+			if want := wantCacheTraffic[e.ID]; st != want {
+				t.Errorf("%s: cache traffic (runs, hits) = %v, want %v", e.ID, st, want)
+			}
 			b := runAt(t, e.ID, 7)
 			if !bytes.Equal(a, b) {
 				t.Fatalf("%s: two runs at seed 7 diverge:\n--- run1 ---\n%s\n--- run2 ---\n%s", e.ID, a, b)

@@ -6,6 +6,7 @@ import (
 
 	"fastiov/internal/fault"
 	"fastiov/internal/sim"
+	"fastiov/internal/stats"
 	"fastiov/internal/telemetry"
 )
 
@@ -479,12 +480,22 @@ func TestChurnRezeroesRecycledMemory(t *testing.T) {
 func TestSeedSweepVarianceSmall(t *testing.T) {
 	// Jitter only perturbs arrival offsets within 50 ms; per-seed means of
 	// a 30-container vanilla run must agree within a few percent.
-	sweep, err := SeedSweep(BaselineVanilla, 30, []uint64{1, 2, 3, 4, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sweep.N() != 5 {
-		t.Fatalf("n = %d", sweep.N())
+	sweep := stats.NewSample()
+	for seed := uint64(1); seed <= 5; seed++ {
+		opts, err := OptionsFor(BaselineVanilla)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts.Seed = seed
+		h, err := NewHost(DefaultHostSpec(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := h.StartupExperiment(30)
+		if res.Err != nil {
+			t.Fatal(res.Err)
+		}
+		sweep.Add(res.Totals.Mean())
 	}
 	spread := float64(sweep.Max()-sweep.Min()) / float64(sweep.Mean())
 	if spread > 0.10 {

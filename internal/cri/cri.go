@@ -95,23 +95,14 @@ func NewEngine(env *hypervisor.Env, plugin cni.Plugin, rec *telemetry.Recorder, 
 	}
 }
 
-// Recorder returns the telemetry recorder.
-func (e *Engine) Recorder() *telemetry.Recorder { return e.rec }
-
 // SetRecorder swaps the telemetry recorder — churn experiments install a
 // fresh recorder per wave so per-wave breakdowns stay separable.
 func (e *Engine) SetRecorder(rec *telemetry.Recorder) { e.rec = rec }
-
-// Options returns the engine's configuration.
-func (e *Engine) Options() Options { return e.opts }
 
 // SetTrack installs the background-proc observer after construction (the
 // fleet wires it once it knows the host's index). Pure bookkeeping: the
 // hook records proc handles and never calls back into the scheduler.
 func (e *Engine) SetTrack(fn func(*sim.Proc)) { e.opts.Track = fn }
-
-// Env returns the hypervisor environment.
-func (e *Engine) Env() *hypervisor.Env { return e.env }
 
 // Sandbox is one running secure container.
 type Sandbox struct {

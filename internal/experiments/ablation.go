@@ -16,11 +16,6 @@ import (
 // AblationBusScan probes bottleneck 1's root cause: the vanilla open path
 // scans every device on the bus under the devset lock, so the *pre-created
 // VF population* — not just the startup concurrency — drives the cost.
-func AblationBusScan(concurrency int, vfCounts []int) (*Report, error) {
-	return defaultExec().AblationBusScan(concurrency, vfCounts)
-}
-
-// AblationBusScan on an executor.
 func (x *Exec) AblationBusScan(concurrency int, vfCounts []int) (*Report, error) {
 	if concurrency <= 0 {
 		concurrency = 50
@@ -33,14 +28,14 @@ func (x *Exec) AblationBusScan(concurrency int, vfCounts []int) (*Report, error)
 		spec := clusterSpecWithVFs(vfs)
 		specs = append(specs, startupSpec{Baseline: cluster.BaselineVanilla, N: concurrency, Spec: &spec})
 	}
-	rs, err := x.startups(specs)
+	rs, err := runAll[*cluster.Result](x, specs)
 	if err != nil {
 		return nil, err
 	}
 	t := stats.NewTable("pre-created VFs", "vanilla 4-vfio-dev avg", "vanilla total avg")
 	rep := &Report{ID: "abl-busscan", Title: fmt.Sprintf("Devset bus-scan cost vs VF population (concurrency=%d)", concurrency), Table: t}
 	for i, vfs := range vfCounts {
-		t.AddRow(vfs, rs[i].StageMean(telemetry.StageVFIODev), rs[i].MeanTotal())
+		t.AddRow(vfs, stageMean(rs[i], telemetry.StageVFIODev), meanTotal(rs[i]))
 	}
 	rep.Notes = append(rep.Notes,
 		"the open hold time is linear in bus population, so devset cost rises with pre-created VFs even at fixed concurrency (§3.2.2)")
@@ -51,11 +46,6 @@ func (x *Exec) AblationBusScan(concurrency int, vfCounts []int) (*Report, error)
 // AblationPageSize probes P2 of Fig. 6: fragmented small pages raise
 // retrieval cost, which hugepages mitigate. Run on a scaled-down host so
 // 4 KiB page metadata stays tractable.
-func AblationPageSize(concurrency int) (*Report, error) {
-	return defaultExec().AblationPageSize(concurrency)
-}
-
-// AblationPageSize on an executor.
 func (x *Exec) AblationPageSize(concurrency int) (*Report, error) {
 	if concurrency <= 0 {
 		concurrency = 10
@@ -79,14 +69,14 @@ func (x *Exec) AblationPageSize(concurrency int) (*Report, error) {
 		spec.Memory.MaxRunPages = c.maxRun
 		specs = append(specs, startupSpec{Baseline: cluster.BaselineVanilla, N: concurrency, Spec: &spec})
 	}
-	rs, err := x.startups(specs)
+	rs, err := runAll[*cluster.Result](x, specs)
 	if err != nil {
 		return nil, err
 	}
 	t := stats.NewTable("page size", "fragmentation", "1-dma-ram avg", "total avg")
 	rep := &Report{ID: "abl-pagesize", Title: fmt.Sprintf("DMA retrieval vs page size (concurrency=%d)", concurrency), Table: t}
 	for i, c := range cfgs {
-		t.AddRow(c.name, c.frag, rs[i].StageMean(telemetry.StageDMARAM), rs[i].MeanTotal())
+		t.AddRow(c.name, c.frag, stageMean(rs[i], telemetry.StageDMARAM), meanTotal(rs[i]))
 	}
 	rep.Notes = append(rep.Notes,
 		"hugepages cut the page count 512x, removing the retrieval term; the paper therefore treats P2 as already mitigated (§3.2.3)")
@@ -97,11 +87,6 @@ func (x *Exec) AblationPageSize(concurrency int) (*Report, error) {
 // AblationScrubber probes fastiovd's background thread (§5): without it,
 // every deferred page's zeroing lands on the application's first-touch
 // path, lengthening task completion; with it, idle time absorbs the cost.
-func AblationScrubber(concurrency int) (*Report, error) {
-	return defaultExec().AblationScrubber(concurrency)
-}
-
-// AblationScrubber on an executor.
 func (x *Exec) AblationScrubber(concurrency int) (*Report, error) {
 	if concurrency <= 0 {
 		concurrency = 50
@@ -113,11 +98,11 @@ func (x *Exec) AblationScrubber(concurrency int) (*Report, error) {
 		sspecs = append(sspecs, startupSpec{Baseline: cluster.BaselineFastIOV, N: concurrency, DisableScrubber: off})
 		cspecs = append(cspecs, serverlessSpec{Baseline: cluster.BaselineFastIOV, N: concurrency, App: serverless.Image, DisableScrubber: off})
 	}
-	startups, err := x.startups(sspecs)
+	startups, err := runAll[*cluster.Result](x, sspecs)
 	if err != nil {
 		return nil, err
 	}
-	comps, err := x.serverlessRuns(cspecs)
+	comps, err := runAll[*stats.Sample](x, cspecs)
 	if err != nil {
 		return nil, err
 	}
@@ -128,7 +113,7 @@ func (x *Exec) AblationScrubber(concurrency int) (*Report, error) {
 		if off {
 			label = "off"
 		}
-		t.AddRow(label, startups[i].MeanTotal(), comps[i].Mean())
+		t.AddRow(label, meanTotal(startups[i]), comps[i].metric((*stats.Sample).Mean))
 	}
 	rep.Notes = append(rep.Notes,
 		"background clearing overlaps zeroing with other startup stages to reduce the EPT fault time (§5)")
@@ -140,11 +125,6 @@ func (x *Exec) AblationScrubber(concurrency int) (*Report, error) {
 // reset (they don't on the E810 or IPU E2100, §3.2.2), each would form a
 // singleton devset and even the vanilla global-mutex driver would not
 // contend across VFs.
-func AblationSlotReset(concurrency int) (*Report, error) {
-	return defaultExec().AblationSlotReset(concurrency)
-}
-
-// AblationSlotReset on an executor.
 func (x *Exec) AblationSlotReset(concurrency int) (*Report, error) {
 	if concurrency <= 0 {
 		concurrency = 100
@@ -156,7 +136,7 @@ func (x *Exec) AblationSlotReset(concurrency int) (*Report, error) {
 		spec.NIC.SlotReset = slot
 		specs = append(specs, startupSpec{Baseline: cluster.BaselineVanilla, N: concurrency, Spec: &spec})
 	}
-	rs, err := x.startups(specs)
+	rs, err := runAll[*cluster.Result](x, specs)
 	if err != nil {
 		return nil, err
 	}
@@ -167,7 +147,7 @@ func (x *Exec) AblationSlotReset(concurrency int) (*Report, error) {
 		if slot {
 			label = "slot (singleton devsets)"
 		}
-		t.AddRow(label, rs[i].StageMean(telemetry.StageVFIODev), rs[i].MeanTotal())
+		t.AddRow(label, stageMean(rs[i], telemetry.StageVFIODev), meanTotal(rs[i]))
 	}
 	rep.Notes = append(rep.Notes,
 		"slot-reset-capable VFs would dissolve the shared devset and with it bottleneck 1 — but such capability is uncommon on modern NICs (§3.2.2)")
@@ -180,9 +160,6 @@ func (x *Exec) AblationSlotReset(concurrency int) (*Report, error) {
 // device sidesteps the devset lock entirely, but DMA mapping — and with it
 // the zeroing cost — is unchanged, so vDPA alone recovers only part of
 // FastIOV's gain.
-func FutureVDPA(n int) (*Report, error) { return defaultExec().FutureVDPA(n) }
-
-// FutureVDPA on an executor.
 func (x *Exec) FutureVDPA(n int) (*Report, error) {
 	if n <= 0 {
 		n = DefaultConcurrency
@@ -192,7 +169,7 @@ func (x *Exec) FutureVDPA(n int) (*Report, error) {
 	for _, name := range names {
 		specs = append(specs, startupSpec{Baseline: name, N: n})
 	}
-	rs, err := x.startups(specs)
+	rs, err := runAll[*cluster.Result](x, specs)
 	if err != nil {
 		return nil, err
 	}
@@ -201,11 +178,11 @@ func (x *Exec) FutureVDPA(n int) (*Report, error) {
 	vanilla := rs[0]
 	for i, name := range names {
 		// Reduction from paired per-seed differences against vanilla.
-		perSeed := make([]float64, len(rs[i].PerSeed()))
-		for k, r := range rs[i].PerSeed() {
-			perSeed[k] = 100 * stats.ReductionRatio(vanilla.PerSeed()[k].Totals.Mean(), r.Totals.Mean())
+		perSeed := make([]float64, len(rs[i]))
+		for k, r := range rs[i] {
+			perSeed[k] = 100 * stats.ReductionRatio(vanilla[k].Totals.Mean(), r.Totals.Mean())
 		}
-		t.AddRow(name, rs[i].MeanTotal(), rs[i].MeanVFRelated(), pctString(perSeed))
+		t.AddRow(name, meanTotal(rs[i]), meanVFRelated(rs[i]), pctString(perSeed))
 	}
 	rep.Notes = append(rep.Notes,
 		"vDPA removes the devset-lock serialization but keeps eager DMA-mapping zeroing; FastIOV's decoupled zeroing remains necessary for the full gain")

@@ -6,7 +6,7 @@ import (
 )
 
 func TestAblationBusScanGrowsWithVFCount(t *testing.T) {
-	rep, err := AblationBusScan(25, []int{64, 256})
+	rep, err := NewExec(1, nil).AblationBusScan(25, []int{64, 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +41,7 @@ func runWithSpecForTest(t *testing.T, vfs, n int) (int64, error) {
 }
 
 func TestAblationPageSizeHugepagesWin(t *testing.T) {
-	rep, err := AblationPageSize(5)
+	rep, err := NewExec(1, nil).AblationPageSize(5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestAblationPageSizeHugepagesWin(t *testing.T) {
 }
 
 func TestAblationScrubberHelpsCompletion(t *testing.T) {
-	rep, err := AblationScrubber(20)
+	rep, err := NewExec(1, nil).AblationScrubber(20)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestAblationScrubberHelpsCompletion(t *testing.T) {
 }
 
 func TestAblationSlotResetRemovesContention(t *testing.T) {
-	rep, err := AblationSlotReset(50)
+	rep, err := NewExec(1, nil).AblationSlotReset(50)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestAblationSlotResetRemovesContention(t *testing.T) {
 }
 
 func TestFutureVDPABetweenVanillaAndFastIOV(t *testing.T) {
-	rep, err := FutureVDPA(50)
+	rep, err := NewExec(1, nil).FutureVDPA(50)
 	if err != nil {
 		t.Fatal(err)
 	}

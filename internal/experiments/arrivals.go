@@ -13,9 +13,6 @@ import (
 // FastIOV's gain depends on requests arriving simultaneously? Poisson and
 // uniformly spread arrivals relax the contention the devset lock turns
 // into queueing delay.
-func ExtArrivals(n int) (*Report, error) { return defaultExec().ExtArrivals(n) }
-
-// ExtArrivals on an executor.
 func (x *Exec) ExtArrivals(n int) (*Report, error) {
 	if n <= 0 {
 		n = DefaultConcurrency
@@ -35,7 +32,7 @@ func (x *Exec) ExtArrivals(n int) (*Report, error) {
 			startupSpec{Baseline: cluster.BaselineVanilla, N: n, Arrival: &arr},
 			startupSpec{Baseline: cluster.BaselineFastIOV, N: n, Arrival: &arr})
 	}
-	rs, err := x.startups(specs)
+	rs, err := runAll[*cluster.Result](x, specs)
 	if err != nil {
 		return nil, err
 	}
@@ -43,12 +40,12 @@ func (x *Exec) ExtArrivals(n int) (*Report, error) {
 	rep := &Report{ID: "ext-arrivals", Title: fmt.Sprintf("Arrival-pattern sensitivity (n=%d)", n), Table: t}
 	for i, pat := range patterns {
 		van, fio := rs[2*i], rs[2*i+1]
-		perSeed := make([]float64, len(van.PerSeed()))
-		for k := range van.PerSeed() {
+		perSeed := make([]float64, len(van))
+		for k := range van {
 			perSeed[k] = 100 * stats.ReductionRatio(
-				van.PerSeed()[k].Totals.Mean(), fio.PerSeed()[k].Totals.Mean())
+				van[k].Totals.Mean(), fio[k].Totals.Mean())
 		}
-		t.AddRow(pat.label, van.MeanTotal(), fio.MeanTotal(), pctString(perSeed))
+		t.AddRow(pat.label, meanTotal(van), meanTotal(fio), pctString(perSeed))
 	}
 	rep.Notes = append(rep.Notes,
 		"the devset queue saturates under burst and moderate Poisson load, where FastIOV's gain is largest; once arrivals spread widely the queue drains between requests and the gain shrinks")

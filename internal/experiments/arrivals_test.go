@@ -6,7 +6,7 @@ import (
 )
 
 func TestExtArrivalsBurstGainLargest(t *testing.T) {
-	rep, err := ExtArrivals(50)
+	rep, err := NewExec(1, nil).ExtArrivals(50)
 	if err != nil {
 		t.Fatal(err)
 	}

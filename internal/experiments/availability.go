@@ -43,23 +43,19 @@ func availPlan(c availCell) string {
 	return fmt.Sprintf("host-crash@%s:host=0,mtbf=%s;host-recover=%s", c.MTBF, c.MTBF, c.MTTR)
 }
 
-// Availability sweeps admission policy × baseline over the failure ladder.
-// See the executor method.
-func Availability(n int) (*Report, error) { return defaultExec().Availability(n) }
-
-// Availability on an executor: the fleet-availability study. The serving
-// control plane runs its open-loop window while host 0 crashes on an MTBF
-// clock and reboots MTTR later, so every layer of the failure path is
-// exercised together: the kernel kills the host's procs, the LostToCrash
-// ledger absorbs what they stranded, the heartbeat monitor flips the host
-// out of the scheduler, dispatchers reroute crash-lost starts under the
-// bounded backoff policy, and admission control sees the shrunken fleet
-// through the health-aware headroom signal. The headline is the
-// recovery-time asymmetry: a vanilla reboot re-zeroes the whole 256-VF pool
-// serially (a ~2s cliff on every crash), while FastIOV reloads fastiovd and
-// re-registers scrub state in microseconds — so vanilla's effective outage
-// per crash is MTTR plus the cliff, and its goodput degrades much faster as
-// MTBF shrinks.
+// Availability sweeps admission policy × baseline over the failure ladder:
+// the fleet-availability study. The serving control plane runs its open-loop
+// window while host 0 crashes on an MTBF clock and reboots MTTR later, so
+// every layer of the failure path is exercised together: the kernel kills
+// the host's procs, the LostToCrash ledger absorbs what they stranded, the
+// heartbeat monitor flips the host out of the scheduler, dispatchers reroute
+// crash-lost starts under the bounded backoff policy, and admission control
+// sees the shrunken fleet through the health-aware headroom signal. The
+// headline is the recovery-time asymmetry: a vanilla reboot re-zeroes the
+// whole 256-VF pool serially (a ~2s cliff on every crash), while FastIOV
+// reloads fastiovd and re-registers scrub state in microseconds — so
+// vanilla's effective outage per crash is MTTR plus the cliff, and its
+// goodput degrades much faster as MTBF shrinks.
 func (x *Exec) Availability(n int) (*Report, error) {
 	hosts := x.serveHosts
 	if hosts <= 0 {
@@ -69,19 +65,9 @@ func (x *Exec) Availability(n int) (*Report, error) {
 	if x.serveRate > 0 {
 		rate = x.serveRate
 	}
-	policies := serve.Policies()
-	if x.servePolicy != "" {
-		found := false
-		for _, p := range policies {
-			if p == x.servePolicy {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("experiments: unknown admission policy %q (want %v)", x.servePolicy, serve.Policies())
-		}
-		policies = []string{x.servePolicy}
+	policies, err := x.servePolicies()
+	if err != nil {
+		return nil, err
 	}
 	ladder := append([]availCell(nil), DefaultAvailLadder...)
 	switch {
@@ -103,12 +89,12 @@ func (x *Exec) Availability(n int) (*Report, error) {
 				if err != nil {
 					return nil, fmt.Errorf("experiments: availability plan: %w", err)
 				}
-				specs = append(specs, serveSpec{Baseline: b, Policy: p, Hosts: hosts, Rate: rate, Faults: pl})
+				specs = append(specs, serveSpec{Baseline: b, Policy: p, Hosts: hosts, Rate: rate, observe: observe{Faults: pl}})
 			}
 		}
 	}
 
-	rs, err := x.serves(specs)
+	rs, err := runAll[*serve.Result](x, specs)
 	if err != nil {
 		return nil, err
 	}
@@ -129,15 +115,15 @@ func (x *Exec) Availability(n int) (*Report, error) {
 		for _, b := range baselines {
 			for ci, c := range ladder {
 				m := rs[i]
-				pri := m.Primary()
-				rec := m.Metric(func(r *serve.Result) time.Duration { return r.Fleet.MaxRecovery() })
+				pri := m.primary()
+				rec := m.metric(func(r *serve.Result) time.Duration { return r.Fleet.MaxRecovery() })
 				t.AddRow(b, p, c.MTBF, c.MTTR,
 					pri.Fleet.HostCrashes,
 					rec,
 					pri.CrashLost, pri.Rerouted, pri.CrashGiveups,
 					pri.Goodput(),
-					m.Metric(func(r *serve.Result) time.Duration { return r.Sojourns.P99() }),
-					m.Metric(func(r *serve.Result) time.Duration { return r.Sojourns.P999() }))
+					m.metric(func(r *serve.Result) time.Duration { return r.Sojourns.P99() }),
+					m.metric(func(r *serve.Result) time.Duration { return r.Sojourns.P999() }))
 				k := key{b, p, ci}
 				recs[k] = rec.Mean
 				goods[k] = pri.Goodput()

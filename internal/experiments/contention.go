@@ -24,17 +24,14 @@ func devsetLock(name string) bool { return strings.Contains(name, vfio.DevsetLoc
 // per-container critical-path decomposition (service vs blocked vs
 // runnable). Vanilla exposes the devset global mutex as the dominant
 // blocker; FastIOV's decomposed locking is shown for contrast.
-func Contention(n int) (*Report, error) { return defaultExec().Contention(n) }
-
-// Contention on an executor. See the package-level wrapper.
 func (x *Exec) Contention(n int) (*Report, error) {
 	pin := true
 	baselines := []string{cluster.BaselineVanilla, cluster.BaselineFastIOV}
 	specs := make([]startupSpec, len(baselines))
 	for i, b := range baselines {
-		specs[i] = startupSpec{Baseline: b, N: n, Trace: &pin}
+		specs[i] = startupSpec{Baseline: b, N: n, observe: observe{Trace: &pin}}
 	}
-	rs, err := x.startups(specs)
+	rs, err := runAll[*cluster.Result](x, specs)
 	if err != nil {
 		return nil, err
 	}
@@ -43,7 +40,7 @@ func (x *Exec) Contention(n int) (*Report, error) {
 	rep := &Report{ID: "contention", Title: fmt.Sprintf("Lock contention and critical paths under concurrent startup (concurrency=%d)", n)}
 	var text strings.Builder
 	for i, b := range baselines {
-		res := rs[i].Primary()
+		res := rs[i].primary()
 		a, err := trace.Analyze(res.Trace)
 		if err != nil {
 			return nil, fmt.Errorf("contention: %s: %w", b, err)

@@ -6,7 +6,6 @@ import (
 
 	"fastiov/internal/cluster"
 	"fastiov/internal/dataplane"
-	"fastiov/internal/harness"
 	"fastiov/internal/sim"
 	"fastiov/internal/stats"
 )
@@ -18,12 +17,19 @@ type dpOutcome struct {
 	Virt dataplane.Result
 }
 
-// dpRun boots one FastIOV secure container and streams packets packets of
-// the given size through both receive paths. Each (size, seed) point is an
-// independent job so the sweep parallelizes; unlike the original serial
-// loop, every point gets a fresh host, which keeps points independent of
-// sweep order.
-func dpRun(packets int, size int64, seed uint64) (*dpOutcome, error) {
+// dpSpec is one data-plane point: boot one FastIOV secure container and
+// stream Packets packets of Size bytes through both receive paths. Every
+// point gets a fresh host, which keeps points independent of sweep order.
+type dpSpec struct {
+	Packets int
+	Size    int64
+}
+
+func (dpSpec) scope() string    { return "dataplane" }
+func (s dpSpec) params() string { return fmt.Sprintf("packets=%d size=%d", s.Packets, s.Size) }
+
+func (s dpSpec) run(_ *Exec, seed uint64) (*dpOutcome, error) {
+	packets, size := s.Packets, s.Size
 	opts, err := cluster.OptionsFor(cluster.BaselineFastIOV)
 	if err != nil {
 		return nil, err
@@ -78,14 +84,8 @@ func dpRun(packets int, size int64, seed uint64) (*dpOutcome, error) {
 	return &out, nil
 }
 
-// fingerprintDP canonically serializes a data-plane point for determinism
-// verification.
-func fingerprintDP(v any) ([]byte, error) {
-	out, ok := v.(*dpOutcome)
-	if !ok {
-		return nil, fmt.Errorf("experiments: fingerprinting %T, want *dpOutcome", v)
-	}
-	return fmt.Appendf(nil, "pass %+v\nvirt %+v\n", out.Pass, out.Virt), nil
+func (dpSpec) fingerprint(out *dpOutcome) []byte {
+	return fmt.Appendf(nil, "pass %+v\nvirt %+v\n", out.Pass, out.Virt)
 }
 
 // gbpsString renders per-seed throughputs as "9.87" or "9.87 ±0.12" Gbps.
@@ -101,11 +101,6 @@ func gbpsString(perSeed []float64) string {
 // advantage over the software (virtio/ipvtap-style) path. It starts one
 // FastIOV secure container per packet size, then streams packets through
 // both receive paths into the same guest, reporting throughput and latency.
-func DataPlane(packets int, sizes []int64) (*Report, error) {
-	return defaultExec().DataPlane(packets, sizes)
-}
-
-// DataPlane on an executor.
 func (x *Exec) DataPlane(packets int, sizes []int64) (*Report, error) {
 	if packets <= 0 {
 		packets = 50_000
@@ -113,31 +108,18 @@ func (x *Exec) DataPlane(packets int, sizes []int64) (*Report, error) {
 	if len(sizes) == 0 {
 		sizes = []int64{64, 1500, 9000}
 	}
-	jobs := make([]harness.Job, 0, len(sizes)*len(x.seeds))
-	for _, size := range sizes {
-		size := size
-		for _, seed := range x.seeds {
-			seed := seed
-			jobs = append(jobs, harness.Job{
-				Key:         harness.Key{Scope: "dataplane", Params: fmt.Sprintf("packets=%d size=%d", packets, size), Seed: seed},
-				Fn:          func() (any, error) { return dpRun(packets, size, seed) },
-				Fingerprint: fingerprintDP,
-			})
-		}
+	specs := make([]dpSpec, len(sizes))
+	for i, size := range sizes {
+		specs[i] = dpSpec{Packets: packets, Size: size}
 	}
-	vals, err := x.pool.Do(jobs)
+	rs, err := runAll[*dpOutcome](x, specs)
 	if err != nil {
 		return nil, err
 	}
 	t := stats.NewTable("path", "pkt size", "throughput Gbps", "lat p50", "lat p99")
 	rep := &Report{ID: "bg-dataplane", Title: fmt.Sprintf("Data-plane receive path (%d packets per point)", packets), Table: t}
-	k := 0
-	for _, size := range sizes {
-		perSeed := make([]*dpOutcome, len(x.seeds))
-		for j := range x.seeds {
-			perSeed[j] = vals[k].(*dpOutcome)
-			k++
-		}
+	for i, size := range sizes {
+		perSeed := rs[i]
 		passGbps := make([]float64, len(perSeed))
 		virtGbps := make([]float64, len(perSeed))
 		for j, o := range perSeed {
@@ -145,11 +127,11 @@ func (x *Exec) DataPlane(packets int, sizes []int64) (*Report, error) {
 			virtGbps[j] = o.Virt.Throughput
 		}
 		t.AddRow("sriov-passthrough", size, gbpsString(passGbps),
-			stats.EstimateMetric(perSeed, func(o *dpOutcome) time.Duration { return o.Pass.LatP50 }),
-			stats.EstimateMetric(perSeed, func(o *dpOutcome) time.Duration { return o.Pass.LatP99 }))
+			perSeed.metric(func(o *dpOutcome) time.Duration { return o.Pass.LatP50 }),
+			perSeed.metric(func(o *dpOutcome) time.Duration { return o.Pass.LatP99 }))
 		t.AddRow("software-virtio", size, gbpsString(virtGbps),
-			stats.EstimateMetric(perSeed, func(o *dpOutcome) time.Duration { return o.Virt.LatP50 }),
-			stats.EstimateMetric(perSeed, func(o *dpOutcome) time.Duration { return o.Virt.LatP99 }))
+			perSeed.metric(func(o *dpOutcome) time.Duration { return o.Virt.LatP50 }),
+			perSeed.metric(func(o *dpOutcome) time.Duration { return o.Virt.LatP99 }))
 	}
 	rep.Notes = append(rep.Notes,
 		"passthrough avoids the host-stack hop and vhost copy: the §1 rationale for building the CNI on SR-IOV at all")

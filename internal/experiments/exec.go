@@ -93,17 +93,6 @@ func SeedList(k int) []uint64 {
 	return seeds
 }
 
-// defaultExec is the executor behind the package-level convenience
-// wrappers: serial, single seed — the pre-harness behaviour.
-func defaultExec() *Exec { return NewExec(1, nil) }
-
-// Seeds returns the executor's seed list (not a copy; callers must not
-// mutate).
-func (x *Exec) Seeds() []uint64 { return x.seeds }
-
-// Workers returns the executor's concurrency bound.
-func (x *Exec) Workers() int { return x.pool.Workers() }
-
 // SetVerify toggles scenario-level determinism verification: every sim run
 // executes twice and any byte-level divergence of its canonical result
 // encoding fails the experiment.
@@ -115,16 +104,10 @@ func (x *Exec) SetVerify(v bool) { x.pool.SetVerify(v) }
 // tests use as the reference.
 func (x *Exec) SetSnapshots(v bool) { x.snapshots = v }
 
-// Snapshots reports whether boot-prefix snapshot caching is enabled.
-func (x *Exec) Snapshots() bool { return x.snapshots }
-
 // SetFaults installs an executor-wide fault plan inherited by every spec
 // that does not pin its own. The plan participates in cache keys, so
 // faulted and fault-free runs of the same scenario never share results.
 func (x *Exec) SetFaults(pl *fault.Plan) { x.faults = pl }
-
-// Faults returns the executor-wide default plan (nil = fault-free).
-func (x *Exec) Faults() *fault.Plan { return x.faults }
 
 // SetTrace enables event-sourced tracing for every spec that does not pin
 // its own setting. Tracing participates in cache keys, so traced and
@@ -179,6 +162,139 @@ func FirstDivergence(a, b []byte) (offset int, detail string) {
 }
 
 // ----------------------------------------------------------------------
+// The scenario runner.
+
+// scenario is one spec kind: an independently schedulable simulation with
+// result type R. A kind supplies its cache scope and canonical params (equal
+// specs at equal seeds are one simulation), a typed run at one seed, and a
+// typed canonical fingerprint that determinism verification byte-compares
+// across a double run. Kinds that embed observe inherit the executor-wide
+// observers before their params are taken.
+type scenario[R any] interface {
+	scope() string
+	params() string
+	run(x *Exec, seed uint64) (R, error)
+	fingerprint(R) []byte
+}
+
+// multi is one scenario's outcome at every executor seed, in seed-list
+// order. Scalar metrics aggregate across seeds into mean ± 95% CI; rich
+// renderings (timelines, breakdowns, CDFs) come from the primary (first)
+// seed's full record.
+type multi[R any] []R
+
+// primary returns the first seed's result.
+func (m multi[R]) primary() R { return m[0] }
+
+// metric aggregates f over every seed's result.
+func (m multi[R]) metric(f func(R) time.Duration) stats.Estimate {
+	return stats.EstimateMetric(m, f)
+}
+
+// runAll fans the specs across the pool at every seed and returns one
+// multi per spec, in input order. Results are cached and shared across
+// experiments, so they must be treated as immutable.
+func runAll[R any, S scenario[R]](x *Exec, specs []S) ([]multi[R], error) {
+	jobs := make([]harness.Job, 0, len(specs)*len(x.seeds))
+	for _, sp := range specs {
+		if o, ok := any(&sp).(interface{ resolve(*Exec) }); ok {
+			o.resolve(x)
+		}
+		key := harness.Key{Scope: sp.scope(), Params: sp.params()}
+		for _, seed := range x.seeds {
+			key.Seed = seed
+			jobs = append(jobs, harness.Job{
+				Key:         key,
+				Fn:          func() (any, error) { return sp.run(x, seed) },
+				Fingerprint: func(v any) ([]byte, error) { return sp.fingerprint(v.(R)), nil },
+			})
+		}
+	}
+	vals, err := x.pool.Do(jobs)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]multi[R], len(specs))
+	for i := range out {
+		out[i] = make(multi[R], len(x.seeds))
+		for j := range x.seeds {
+			out[i][j] = vals[i*len(x.seeds)+j].(R)
+		}
+	}
+	return out, nil
+}
+
+// observe is a spec's observer pins: the fault plan, the trace, metrics and
+// journey recorders, and serving's alert rules. A nil pin inherits the
+// executor-wide setting (resolve). The resolved observers join the cache
+// key (writeKey), so observed and unobserved runs of one scenario never
+// share results.
+type observe struct {
+	// Faults pins the fault plan. A non-nil empty plan pins "fault-free"
+	// (the chaos p=0 row), which canonicalizes to the same cache key as an
+	// unfaulted spec.
+	Faults *fault.Plan
+	// Trace pins event-sourced tracing (the contention experiment pins it
+	// on). Traced runs verify the critical-path decomposition but render
+	// identically to untraced runs.
+	Trace *bool
+	// Metrics pins the simulated-time metrics registry (the saturation
+	// experiment pins it on).
+	Metrics *bool
+	// Journeys pins per-request journey tracing. Only serving specs record
+	// journeys, so only they inherit the executor-wide switch.
+	Journeys *bool
+	// Alerts is an alert-rule spec the simulated-time engine evaluates
+	// during a serving run ("" runs no engine). Alert engines read the
+	// metrics registry, so rules force Metrics on.
+	Alerts string
+}
+
+// resolve replaces every nil pin with the executor-wide setting.
+func (o *observe) resolve(x *Exec) {
+	if o.Faults == nil {
+		o.Faults = x.faults
+	}
+	o.Trace = inherit(o.Trace, x.trace)
+	o.Metrics = inherit(o.Metrics, x.metrics)
+	if o.Alerts != "" {
+		on := true
+		o.Metrics = &on
+	}
+}
+
+// inherit returns pin, or a pin holding def when pin is nil.
+func inherit(pin *bool, def bool) *bool {
+	if pin == nil {
+		return &def
+	}
+	return pin
+}
+
+func (o observe) traced() bool    { return o.Trace != nil && *o.Trace }
+func (o observe) metered() bool   { return o.Metrics != nil && *o.Metrics }
+func (o observe) journeyed() bool { return o.Journeys != nil && *o.Journeys }
+
+// writeKey appends the resolved observers' cache-key tokens to b.
+func (o observe) writeKey(b *strings.Builder) {
+	if !o.Faults.Empty() {
+		fmt.Fprintf(b, " faults=%s", o.Faults)
+	}
+	if o.traced() {
+		b.WriteString(" trace")
+	}
+	if o.metered() {
+		b.WriteString(" metrics")
+	}
+	if o.journeyed() {
+		b.WriteString(" journeys")
+	}
+	if o.Alerts != "" {
+		fmt.Fprintf(b, " alerts=%s", o.Alerts)
+	}
+}
+
+// ----------------------------------------------------------------------
 // Boot-prefix snapshot cache.
 
 // bootParams canonically encodes everything that shapes a host boot: the
@@ -186,7 +302,7 @@ func FirstDivergence(a, b []byte) (offset int, detail string) {
 // (concurrency, arrival process). Scenarios agreeing on these tokens — and
 // on the seed — boot byte-identical hosts and therefore share one cached
 // snapshot.
-func bootParams(baseline string, layout *hypervisor.Layout, spec *cluster.HostSpec, noscrub bool, faults *fault.Plan, traced, metered bool) string {
+func bootParams(baseline string, layout *hypervisor.Layout, spec *cluster.HostSpec, noscrub bool, o observe) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "b=%s", baseline)
 	if layout != nil {
@@ -198,15 +314,7 @@ func bootParams(baseline string, layout *hypervisor.Layout, spec *cluster.HostSp
 	if noscrub {
 		b.WriteString(" noscrub")
 	}
-	if !faults.Empty() {
-		fmt.Fprintf(&b, " faults=%s", faults)
-	}
-	if traced {
-		b.WriteString(" trace")
-	}
-	if metered {
-		b.WriteString(" metrics")
-	}
+	o.writeKey(&b)
 	return b.String()
 }
 
@@ -231,7 +339,8 @@ func (x *Exec) boot(params string, spec cluster.HostSpec, opts cluster.Options) 
 			}
 			return cluster.CaptureSnapshot(h)
 		},
-		Fingerprint: fingerprintSnapshot,
+		// Verify mode double-boots and byte-compares the captures.
+		Fingerprint: func(v any) ([]byte, error) { return v.(*cluster.Snapshot).AppendCanonical(nil), nil },
 	})
 	if err != nil {
 		return nil, err
@@ -247,22 +356,10 @@ func (x *Exec) boot(params string, spec cluster.HostSpec, opts cluster.Options) 
 	return h, nil
 }
 
-// fingerprintSnapshot canonically serializes a boot snapshot so verify
-// mode can double-boot and byte-compare the captures.
-func fingerprintSnapshot(v any) ([]byte, error) {
-	snap, ok := v.(*cluster.Snapshot)
-	if !ok {
-		return nil, fmt.Errorf("experiments: fingerprinting %T, want *cluster.Snapshot", v)
-	}
-	return snap.AppendCanonical(nil), nil
-}
-
 // ----------------------------------------------------------------------
 // Startup scenarios: one baseline at one concurrency, optional overrides.
 
-// startupSpec identifies one independently schedulable startup run. Every
-// field participates in the cache key, so equal specs at equal seeds are
-// one simulation.
+// startupSpec identifies one startup run.
 type startupSpec struct {
 	Baseline string
 	N        int
@@ -274,27 +371,11 @@ type startupSpec struct {
 	DisableScrubber bool
 	// Arrival overrides the invocation arrival process.
 	Arrival *cluster.Arrival
-	// Faults pins this spec's fault plan. Nil inherits the executor-wide
-	// plan; a non-nil empty plan pins "fault-free" (the chaos p=0 row),
-	// which canonicalizes to the same cache key as an unfaulted spec.
-	Faults *fault.Plan
-	// Trace pins event-sourced tracing for this spec. Nil inherits the
-	// executor-wide setting (see Exec.SetTrace); the contention experiment
-	// pins true.
-	Trace *bool
-	// Metrics pins the simulated-time metrics registry for this spec. Nil
-	// inherits the executor-wide setting (see Exec.SetMetrics); the
-	// saturation experiment pins true.
-	Metrics *bool
+	observe
 }
 
-// traced resolves the effective tracing setting after inheritance.
-func (s startupSpec) traced() bool { return s.Trace != nil && *s.Trace }
+func (startupSpec) scope() string { return "startup" }
 
-// metered resolves the effective metrics setting after inheritance.
-func (s startupSpec) metered() bool { return s.Metrics != nil && *s.Metrics }
-
-// params canonically encodes the spec for the cache key.
 func (s startupSpec) params() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "b=%s n=%d", s.Baseline, s.N)
@@ -310,22 +391,13 @@ func (s startupSpec) params() string {
 	if s.Arrival != nil {
 		fmt.Fprintf(&b, " arrival=%+v", *s.Arrival)
 	}
-	if !s.Faults.Empty() {
-		fmt.Fprintf(&b, " faults=%s", s.Faults)
-	}
-	if s.traced() {
-		b.WriteString(" trace")
-	}
-	if s.metered() {
-		b.WriteString(" metrics")
-	}
+	s.writeKey(&b)
 	return b.String()
 }
 
 // run executes the spec at one seed on a private simulated host (booted
 // from the executor's snapshot cache when enabled). The returned result is
-// sealed (samples pre-sorted) and must be treated as immutable: the
-// harness caches and shares it across experiments.
+// sealed (samples pre-sorted).
 func (s startupSpec) run(x *Exec, seed uint64) (*cluster.Result, error) {
 	opts, err := cluster.OptionsFor(s.Baseline)
 	if err != nil {
@@ -354,7 +426,7 @@ func (s startupSpec) run(x *Exec, seed uint64) (*cluster.Result, error) {
 	if s.Spec != nil {
 		spec = *s.Spec
 	}
-	h, err := x.boot(bootParams(s.Baseline, s.Layout, s.Spec, s.DisableScrubber, s.Faults, s.traced(), s.metered()), spec, opts)
+	h, err := x.boot(bootParams(s.Baseline, s.Layout, s.Spec, s.DisableScrubber, s.observe), spec, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -379,13 +451,9 @@ func (s startupSpec) run(x *Exec, seed uint64) (*cluster.Result, error) {
 	return res, nil
 }
 
-// fingerprintResult canonically serializes a startup run for determinism
-// verification: every per-container total plus the full telemetry record.
-func fingerprintResult(v any) ([]byte, error) {
-	res, ok := v.(*cluster.Result)
-	if !ok {
-		return nil, fmt.Errorf("experiments: fingerprinting %T, want *cluster.Result", v)
-	}
+// fingerprint serializes every per-container total plus the full telemetry
+// record.
+func (startupSpec) fingerprint(res *cluster.Result) []byte {
 	var b []byte
 	for _, d := range res.Totals.Values() {
 		b = fmt.Appendf(b, "total %d\n", d)
@@ -417,53 +485,31 @@ func fingerprintResult(v any) ([]byte, error) {
 	if res.Metrics != nil {
 		b = fmt.Appendf(b, "metrics samples=%d fp=%016x\n", res.Metrics.Samples(), res.Metrics.Fingerprint())
 	}
-	return res.Recorder.AppendCanonical(b), nil
+	return res.Recorder.AppendCanonical(b)
 }
 
-// MultiResult is one startup scenario's outcome across the executor's
-// seeds. Scalar metrics aggregate across seeds into mean ± 95% CI; rich
-// renderings (timelines, breakdowns, CDFs) come from the primary (first)
-// seed's full record.
-type MultiResult struct {
-	seeds   []uint64
-	perSeed []*cluster.Result
+// startups is a startup scenario's per-seed results.
+type startups = multi[*cluster.Result]
+
+// meanTotal is the cross-seed estimate of the average startup time.
+func meanTotal(m startups) stats.Estimate {
+	return m.metric(func(r *cluster.Result) time.Duration { return r.Totals.Mean() })
 }
 
-// Primary returns the first seed's full result.
-func (m *MultiResult) Primary() *cluster.Result { return m.perSeed[0] }
-
-// PerSeed returns every seed's result, in seed-list order.
-func (m *MultiResult) PerSeed() []*cluster.Result { return m.perSeed }
-
-// Metric aggregates f over every seed's result.
-func (m *MultiResult) Metric(f func(*cluster.Result) time.Duration) stats.Estimate {
-	return stats.EstimateMetric(m.perSeed, f)
+// totalPercentile is the cross-seed estimate of a startup-time percentile.
+func totalPercentile(m startups, p float64) stats.Estimate {
+	return m.metric(func(r *cluster.Result) time.Duration { return r.Totals.Percentile(p) })
 }
 
-// MeanTotal is the cross-seed estimate of the average startup time.
-func (m *MultiResult) MeanTotal() stats.Estimate {
-	return m.Metric(func(r *cluster.Result) time.Duration { return r.Totals.Mean() })
-}
-
-// TotalPercentile is the cross-seed estimate of a startup-time percentile.
-func (m *MultiResult) TotalPercentile(p float64) stats.Estimate {
-	return m.Metric(func(r *cluster.Result) time.Duration { return r.Totals.Percentile(p) })
-}
-
-// MaxTotal is the cross-seed estimate of the slowest container's startup.
-func (m *MultiResult) MaxTotal() stats.Estimate {
-	return m.Metric(func(r *cluster.Result) time.Duration { return r.Totals.Max() })
-}
-
-// MeanVFRelated is the cross-seed estimate of per-container VF-related
+// meanVFRelated is the cross-seed estimate of per-container VF-related
 // stage time.
-func (m *MultiResult) MeanVFRelated() stats.Estimate {
-	return m.Metric(func(r *cluster.Result) time.Duration { return r.VFRelated.Mean() })
+func meanVFRelated(m startups) stats.Estimate {
+	return m.metric(func(r *cluster.Result) time.Duration { return r.VFRelated.Mean() })
 }
 
-// StageMean is the cross-seed estimate of one stage's per-container mean.
-func (m *MultiResult) StageMean(st telemetry.Stage) stats.Estimate {
-	return m.Metric(func(r *cluster.Result) time.Duration {
+// stageMean is the cross-seed estimate of one stage's per-container mean.
+func stageMean(m startups, st telemetry.Stage) stats.Estimate {
+	return m.metric(func(r *cluster.Result) time.Duration {
 		if s := r.Recorder.ByStage()[st]; s != nil {
 			return s.Mean()
 		}
@@ -471,82 +517,20 @@ func (m *MultiResult) StageMean(st telemetry.Stage) stats.Estimate {
 	})
 }
 
-// startups fans the given specs across the pool at every seed and returns
-// one MultiResult per spec, in input order.
-func (x *Exec) startups(specs []startupSpec) ([]*MultiResult, error) {
-	jobs := make([]harness.Job, 0, len(specs)*len(x.seeds))
-	for _, sp := range specs {
-		sp := sp
-		if sp.Faults == nil {
-			sp.Faults = x.faults
-		}
-		if sp.Trace == nil {
-			tv := x.trace
-			sp.Trace = &tv
-		}
-		if sp.Metrics == nil {
-			mv := x.metrics
-			sp.Metrics = &mv
-		}
-		for _, seed := range x.seeds {
-			seed := seed
-			jobs = append(jobs, harness.Job{
-				Key:         harness.Key{Scope: "startup", Params: sp.params(), Seed: seed},
-				Fn:          func() (any, error) { return sp.run(x, seed) },
-				Fingerprint: fingerprintResult,
-			})
-		}
-	}
-	vals, err := x.pool.Do(jobs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*MultiResult, len(specs))
-	k := 0
-	for i := range specs {
-		m := &MultiResult{seeds: x.seeds}
-		for range x.seeds {
-			m.perSeed = append(m.perSeed, vals[k].(*cluster.Result))
-			k++
-		}
-		out[i] = m
-	}
-	return out, nil
-}
-
-// startup runs a single spec.
-func (x *Exec) startup(sp startupSpec) (*MultiResult, error) {
-	rs, err := x.startups([]startupSpec{sp})
-	if err != nil {
-		return nil, err
-	}
-	return rs[0], nil
-}
-
 // ----------------------------------------------------------------------
 // Serverless scenarios: a baseline running one SeBS app to completion.
 
-// serverlessSpec identifies one schedulable serverless completion run.
+// serverlessSpec identifies one serverless completion run.
 type serverlessSpec struct {
 	Baseline        string
 	N               int
 	App             serverless.App
 	Layout          *hypervisor.Layout
 	DisableScrubber bool
-	// Faults pins this spec's fault plan; nil inherits the executor-wide
-	// plan (see startupSpec.Faults).
-	Faults *fault.Plan
-	// Trace pins event-sourced tracing; nil inherits the executor-wide
-	// setting (see startupSpec.Trace).
-	Trace *bool
-	// Metrics pins the metrics registry; nil inherits the executor-wide
-	// setting (see startupSpec.Metrics).
-	Metrics *bool
+	observe
 }
 
-func (s serverlessSpec) traced() bool { return s.Trace != nil && *s.Trace }
-
-func (s serverlessSpec) metered() bool { return s.Metrics != nil && *s.Metrics }
+func (serverlessSpec) scope() string { return "serverless" }
 
 func (s serverlessSpec) params() string {
 	var b strings.Builder
@@ -557,15 +541,7 @@ func (s serverlessSpec) params() string {
 	if s.DisableScrubber {
 		b.WriteString(" noscrub")
 	}
-	if !s.Faults.Empty() {
-		fmt.Fprintf(&b, " faults=%s", s.Faults)
-	}
-	if s.traced() {
-		b.WriteString(" trace")
-	}
-	if s.metered() {
-		b.WriteString(" metrics")
-	}
+	s.writeKey(&b)
 	return b.String()
 }
 
@@ -588,7 +564,7 @@ func (s serverlessSpec) run(x *Exec, seed uint64) (*stats.Sample, error) {
 	// after the sample is taken and the conservation counters checked (see
 	// startupSpec.run).
 	opts.Audit = true
-	h, err := x.boot(bootParams(s.Baseline, s.Layout, nil, s.DisableScrubber, s.Faults, s.traced(), s.metered()), cluster.DefaultHostSpec(), opts)
+	h, err := x.boot(bootParams(s.Baseline, s.Layout, nil, s.DisableScrubber, s.observe), cluster.DefaultHostSpec(), opts)
 	if err != nil {
 		return nil, err
 	}
@@ -605,80 +581,10 @@ func (s serverlessSpec) run(x *Exec, seed uint64) (*stats.Sample, error) {
 	return sample, nil
 }
 
-func fingerprintSample(v any) ([]byte, error) {
-	sample, ok := v.(*stats.Sample)
-	if !ok {
-		return nil, fmt.Errorf("experiments: fingerprinting %T, want *stats.Sample", v)
-	}
+func (serverlessSpec) fingerprint(sample *stats.Sample) []byte {
 	var b []byte
 	for _, d := range sample.Values() {
 		b = fmt.Appendf(b, "%d\n", d)
 	}
-	return b, nil
-}
-
-// MultiSample is one serverless scenario's completion-time sample across
-// seeds.
-type MultiSample struct {
-	perSeed []*stats.Sample
-}
-
-// Primary returns the first seed's sample.
-func (m *MultiSample) Primary() *stats.Sample { return m.perSeed[0] }
-
-// Metric aggregates f over every seed's sample.
-func (m *MultiSample) Metric(f func(*stats.Sample) time.Duration) stats.Estimate {
-	return stats.EstimateMetric(m.perSeed, f)
-}
-
-// Mean is the cross-seed estimate of mean completion time.
-func (m *MultiSample) Mean() stats.Estimate {
-	return m.Metric(func(s *stats.Sample) time.Duration { return s.Mean() })
-}
-
-// P99 is the cross-seed estimate of p99 completion time.
-func (m *MultiSample) P99() stats.Estimate {
-	return m.Metric(func(s *stats.Sample) time.Duration { return s.P99() })
-}
-
-// serverlessRuns fans the specs across the pool at every seed.
-func (x *Exec) serverlessRuns(specs []serverlessSpec) ([]*MultiSample, error) {
-	jobs := make([]harness.Job, 0, len(specs)*len(x.seeds))
-	for _, sp := range specs {
-		sp := sp
-		if sp.Faults == nil {
-			sp.Faults = x.faults
-		}
-		if sp.Trace == nil {
-			tv := x.trace
-			sp.Trace = &tv
-		}
-		if sp.Metrics == nil {
-			mv := x.metrics
-			sp.Metrics = &mv
-		}
-		for _, seed := range x.seeds {
-			seed := seed
-			jobs = append(jobs, harness.Job{
-				Key:         harness.Key{Scope: "serverless", Params: sp.params(), Seed: seed},
-				Fn:          func() (any, error) { return sp.run(x, seed) },
-				Fingerprint: fingerprintSample,
-			})
-		}
-	}
-	vals, err := x.pool.Do(jobs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*MultiSample, len(specs))
-	k := 0
-	for i := range specs {
-		m := &MultiSample{}
-		for range x.seeds {
-			m.perSeed = append(m.perSeed, vals[k].(*stats.Sample))
-			k++
-		}
-		out[i] = m
-	}
-	return out, nil
+	return b
 }

@@ -13,7 +13,7 @@ import (
 const testN = 50
 
 func TestFig1ShapeHolds(t *testing.T) {
-	rep, err := Fig1([]int{10, 50})
+	rep, err := NewExec(1, nil).Fig1([]int{10, 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +30,7 @@ func TestFig1ShapeHolds(t *testing.T) {
 }
 
 func TestFig5TimelineRenders(t *testing.T) {
-	rep, err := Fig5(testN)
+	rep, err := NewExec(1, nil).Fig5(testN)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func TestFig5TimelineRenders(t *testing.T) {
 }
 
 func TestTable1VFRelatedDominates(t *testing.T) {
-	rep, err := Table1(testN)
+	rep, err := NewExec(1, nil).Table1(testN)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestTable1VFRelatedDominates(t *testing.T) {
 }
 
 func TestFig11HeadlineReductions(t *testing.T) {
-	rep, err := Fig11(testN)
+	rep, err := NewExec(1, nil).Fig11(testN)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestFig11HeadlineReductions(t *testing.T) {
 }
 
 func TestFig12CDFMonotone(t *testing.T) {
-	rep, err := Fig12(testN)
+	rep, err := NewExec(1, nil).Fig12(testN)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestFig12CDFMonotone(t *testing.T) {
 }
 
 func TestFig13aReductionGrowsWithConcurrency(t *testing.T) {
-	rep, err := Fig13a([]int{10, 50})
+	rep, err := NewExec(1, nil).Fig13a([]int{10, 50})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func cell(t *testing.T, row string, idx int) float64 {
 }
 
 func TestFig13bVanillaMoreMemorySensitive(t *testing.T) {
-	rep, err := Fig13b([]int64{512 << 20, 2 << 30}, 25)
+	rep, err := NewExec(1, nil).Fig13b([]int64{512 << 20, 2 << 30}, 25)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestFig13bVanillaMoreMemorySensitive(t *testing.T) {
 }
 
 func TestFig13cRuns(t *testing.T) {
-	rep, err := Fig13c([]int{10, 25})
+	rep, err := NewExec(1, nil).Fig13c([]int{10, 25})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestFig13cRuns(t *testing.T) {
 }
 
 func TestFig14SoftwareCNIBottlenecks(t *testing.T) {
-	rep, err := Fig14(testN)
+	rep, err := NewExec(1, nil).Fig14(testN)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestFig14SoftwareCNIBottlenecks(t *testing.T) {
 }
 
 func TestMemPerfDegradationUnderOnePercent(t *testing.T) {
-	rep, err := MemPerf()
+	rep, err := NewExec(1, nil).MemPerf()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +159,7 @@ func TestMemPerfDegradationUnderOnePercent(t *testing.T) {
 }
 
 func TestFig15ReductionShrinksWithExecTime(t *testing.T) {
-	rep, err := Fig15(30)
+	rep, err := NewExec(1, nil).Fig15(30)
 	if err != nil {
 		t.Fatal(err)
 	}

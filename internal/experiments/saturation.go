@@ -31,9 +31,6 @@ func saturationSweep(max int) []int {
 // concurrency and membw pins at 100% through the zeroing phase, while
 // FastIOV keeps the queue near zero and defers zeroing off the startup
 // path.
-func Saturation(n int) (*Report, error) { return defaultExec().Saturation(n) }
-
-// Saturation on an executor. See the package-level wrapper.
 func (x *Exec) Saturation(n int) (*Report, error) {
 	if n <= 0 {
 		n = DefaultConcurrency
@@ -44,10 +41,10 @@ func (x *Exec) Saturation(n int) (*Report, error) {
 	var specs []startupSpec
 	for _, c := range concs {
 		for _, b := range baselines {
-			specs = append(specs, startupSpec{Baseline: b, N: c, Metrics: &pin})
+			specs = append(specs, startupSpec{Baseline: b, N: c, observe: observe{Metrics: &pin}})
 		}
 	}
-	rs, err := x.startups(specs)
+	rs, err := runAll[*cluster.Result](x, specs)
 	if err != nil {
 		return nil, err
 	}
@@ -60,7 +57,7 @@ func (x *Exec) Saturation(n int) (*Report, error) {
 	idx := 0
 	for _, c := range concs {
 		for _, b := range baselines {
-			reg := rs[idx].Primary().Metrics
+			reg := rs[idx].primary().Metrics
 			idx++
 			q := reg.Summary(cluster.MetricDevsetQueueDepth)
 			u := reg.Summary(cluster.MetricMembwUtil)
@@ -79,7 +76,7 @@ func (x *Exec) Saturation(n int) (*Report, error) {
 	var text strings.Builder
 	base := (len(concs) - 1) * len(baselines)
 	for i, b := range baselines {
-		reg := rs[base+i].Primary().Metrics
+		reg := rs[base+i].primary().Metrics
 		fmt.Fprintf(&text, "%s, concurrency %d:\n%s", b, n, reg.DashboardFor(100, cluster.SaturationPanels()...))
 		if i < len(baselines)-1 {
 			text.WriteString("\n")
@@ -88,8 +85,8 @@ func (x *Exec) Saturation(n int) (*Report, error) {
 	rep.Text = text.String()
 
 	// Quantify the two saturation claims from the max-concurrency runs.
-	van := rs[base].Primary().Metrics
-	fast := rs[base+1].Primary().Metrics
+	van := rs[base].primary().Metrics
+	fast := rs[base+1].primary().Metrics
 	vanPeaks := peaks[cluster.BaselineVanilla]
 	fastMax := 0
 	for _, p := range peaks[cluster.BaselineFastIOV] {

@@ -108,9 +108,6 @@ func runServerless(baseline string, n int, app serverless.App, mutate func(*clus
 
 // Fig15 reproduces Figure 15: task-completion-time distribution for the
 // four SeBS applications at c=200, vanilla vs FastIOV.
-func Fig15(n int) (*Report, error) { return defaultExec().Fig15(n) }
-
-// Fig15 on an executor.
 func (x *Exec) Fig15(n int) (*Report, error) {
 	apps := serverless.Apps()
 	var specs []serverlessSpec
@@ -119,7 +116,7 @@ func (x *Exec) Fig15(n int) (*Report, error) {
 			serverlessSpec{Baseline: cluster.BaselineVanilla, N: n, App: app},
 			serverlessSpec{Baseline: cluster.BaselineFastIOV, N: n, App: app})
 	}
-	rs, err := x.serverlessRuns(specs)
+	rs, err := runAll[*stats.Sample](x, specs)
 	if err != nil {
 		return nil, err
 	}
@@ -128,9 +125,9 @@ func (x *Exec) Fig15(n int) (*Report, error) {
 	var minRed, maxRed float64 = 101, -1
 	for i, app := range apps {
 		van, fio := rs[2*i], rs[2*i+1]
-		avgRed := 100 * stats.ReductionRatio(van.Mean().Mean, fio.Mean().Mean)
-		p99Red := 100 * stats.ReductionRatio(van.P99().Mean, fio.P99().Mean)
-		t.AddRow(app.Name, van.Mean(), van.P99(), fio.Mean(), fio.P99(), avgRed, p99Red)
+		avgRed := 100 * stats.ReductionRatio(van.metric((*stats.Sample).Mean).Mean, fio.metric((*stats.Sample).Mean).Mean)
+		p99Red := 100 * stats.ReductionRatio(van.metric((*stats.Sample).P99).Mean, fio.metric((*stats.Sample).P99).Mean)
+		t.AddRow(app.Name, van.metric((*stats.Sample).Mean), van.metric((*stats.Sample).P99), fio.metric((*stats.Sample).Mean), fio.metric((*stats.Sample).P99), avgRed, p99Red)
 		if avgRed < minRed {
 			minRed = avgRed
 		}
@@ -146,11 +143,6 @@ func (x *Exec) Fig15(n int) (*Report, error) {
 
 // Fig16Concurrency reproduces Fig. 16a-d: per-app average task completion
 // and reduction ratio across concurrency levels.
-func Fig16Concurrency(concurrencies []int) (*Report, error) {
-	return defaultExec().Fig16Concurrency(concurrencies)
-}
-
-// Fig16Concurrency on an executor.
 func (x *Exec) Fig16Concurrency(concurrencies []int) (*Report, error) {
 	if len(concurrencies) == 0 {
 		concurrencies = []int{10, 50, 100, 200}
@@ -164,7 +156,7 @@ func (x *Exec) Fig16Concurrency(concurrencies []int) (*Report, error) {
 				serverlessSpec{Baseline: cluster.BaselineFastIOV, N: c, App: app})
 		}
 	}
-	rs, err := x.serverlessRuns(specs)
+	rs, err := runAll[*stats.Sample](x, specs)
 	if err != nil {
 		return nil, err
 	}
@@ -175,8 +167,8 @@ func (x *Exec) Fig16Concurrency(concurrencies []int) (*Report, error) {
 		for _, c := range concurrencies {
 			van, fio := rs[k], rs[k+1]
 			k += 2
-			t.AddRow(app.Name, c, van.Mean(), fio.Mean(),
-				100*stats.ReductionRatio(van.Mean().Mean, fio.Mean().Mean))
+			t.AddRow(app.Name, c, van.metric((*stats.Sample).Mean), fio.metric((*stats.Sample).Mean),
+				100*stats.ReductionRatio(van.metric((*stats.Sample).Mean).Mean, fio.metric((*stats.Sample).Mean).Mean))
 		}
 	}
 	rep.Notes = append(rep.Notes, "paper: higher gain at higher concurrency (Fig. 16a-d)")
@@ -185,11 +177,6 @@ func (x *Exec) Fig16Concurrency(concurrencies []int) (*Report, error) {
 
 // Fig16Memory reproduces Fig. 16e-h: per-app completion across memory
 // allocations at fixed concurrency.
-func Fig16Memory(memories []int64, concurrency int) (*Report, error) {
-	return defaultExec().Fig16Memory(memories, concurrency)
-}
-
-// Fig16Memory on an executor.
 func (x *Exec) Fig16Memory(memories []int64, concurrency int) (*Report, error) {
 	if len(memories) == 0 {
 		memories = []int64{512 << 20, 1 << 30, 2 << 30}
@@ -207,7 +194,7 @@ func (x *Exec) Fig16Memory(memories []int64, concurrency int) (*Report, error) {
 				serverlessSpec{Baseline: cluster.BaselineFastIOV, N: concurrency, App: app, Layout: &l})
 		}
 	}
-	rs, err := x.serverlessRuns(specs)
+	rs, err := runAll[*stats.Sample](x, specs)
 	if err != nil {
 		return nil, err
 	}
@@ -218,8 +205,8 @@ func (x *Exec) Fig16Memory(memories []int64, concurrency int) (*Report, error) {
 		for _, ram := range memories {
 			van, fio := rs[k], rs[k+1]
 			k += 2
-			t.AddRow(app.Name, fmt.Sprintf("%dMB", ram>>20), van.Mean(), fio.Mean(),
-				100*stats.ReductionRatio(van.Mean().Mean, fio.Mean().Mean))
+			t.AddRow(app.Name, fmt.Sprintf("%dMB", ram>>20), van.metric((*stats.Sample).Mean), fio.metric((*stats.Sample).Mean),
+				100*stats.ReductionRatio(van.metric((*stats.Sample).Mean).Mean, fio.metric((*stats.Sample).Mean).Mean))
 		}
 	}
 	rep.Notes = append(rep.Notes, "paper: higher gain with larger allocations; FastIOV completion flat or decreasing (Fig. 16e-h)")
@@ -228,11 +215,6 @@ func (x *Exec) Fig16Memory(memories []int64, concurrency int) (*Report, error) {
 
 // Fig16FullyLoaded reproduces Fig. 16i-l: per-app completion on a fully
 // loaded server (memory divided evenly among containers).
-func Fig16FullyLoaded(concurrencies []int) (*Report, error) {
-	return defaultExec().Fig16FullyLoaded(concurrencies)
-}
-
-// Fig16FullyLoaded on an executor.
 func (x *Exec) Fig16FullyLoaded(concurrencies []int) (*Report, error) {
 	if len(concurrencies) == 0 {
 		concurrencies = []int{10, 50, 100, 200}
@@ -250,7 +232,7 @@ func (x *Exec) Fig16FullyLoaded(concurrencies []int) (*Report, error) {
 				serverlessSpec{Baseline: cluster.BaselineFastIOV, N: c, App: app, Layout: &l})
 		}
 	}
-	rs, err := x.serverlessRuns(specs)
+	rs, err := runAll[*stats.Sample](x, specs)
 	if err != nil {
 		return nil, err
 	}
@@ -261,8 +243,8 @@ func (x *Exec) Fig16FullyLoaded(concurrencies []int) (*Report, error) {
 		for _, c := range concurrencies {
 			van, fio := rs[k], rs[k+1]
 			k += 2
-			t.AddRow(app.Name, c, fmt.Sprintf("%dMB", ramByConc[c]>>20), van.Mean(), fio.Mean(),
-				100*stats.ReductionRatio(van.Mean().Mean, fio.Mean().Mean))
+			t.AddRow(app.Name, c, fmt.Sprintf("%dMB", ramByConc[c]>>20), van.metric((*stats.Sample).Mean), fio.metric((*stats.Sample).Mean),
+				100*stats.ReductionRatio(van.metric((*stats.Sample).Mean).Mean, fio.metric((*stats.Sample).Mean).Mean))
 		}
 	}
 	rep.Notes = append(rep.Notes, "paper: clear reduction at all settings, most pronounced at low concurrency (Fig. 16i-l)")

@@ -6,8 +6,6 @@ import (
 	"time"
 
 	"fastiov/internal/cluster"
-	"fastiov/internal/fault"
-	"fastiov/internal/harness"
 	"fastiov/internal/serve"
 	"fastiov/internal/stats"
 )
@@ -26,7 +24,7 @@ const servingFlashSpec = ";flash@3s:x=6,for=2s"
 // through the harness so seeds fan out, results cache, and
 // -verify-determinism double-runs every admission decision.
 
-// serveSpec identifies one independently schedulable serving run.
+// serveSpec identifies one serving run.
 type serveSpec struct {
 	Baseline string
 	Policy   string
@@ -34,53 +32,31 @@ type serveSpec struct {
 	Rate     float64
 	// Workload is the canonical tenant spec ("" = serve default).
 	Workload string
-	// Faults pins this spec's fault plan; nil inherits the executor-wide
-	// plan (see startupSpec.Faults).
-	Faults *fault.Plan
-	// Trace, Metrics, and Journeys pin observability; nil inherits the
-	// executor-wide settings.
-	Trace    *bool
-	Metrics  *bool
-	Journeys *bool
-	// Alerts is an optional alert-rule spec evaluated by the simulated-time
-	// engine during the run (requires Metrics); "" runs no engine.
-	Alerts string
+	observe
 }
 
-func (s serveSpec) traced() bool { return s.Trace != nil && *s.Trace }
+func (serveSpec) scope() string { return "serve" }
 
-func (s serveSpec) metered() bool { return s.Metrics != nil && *s.Metrics }
-
-func (s serveSpec) journeyed() bool { return s.Journeys != nil && *s.Journeys }
-
-// params canonically encodes the spec for the cache key.
 func (s serveSpec) params() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "b=%s policy=%s hosts=%d rate=%g", s.Baseline, s.Policy, s.Hosts, s.Rate)
 	if s.Workload != "" {
 		fmt.Fprintf(&b, " w=%s", s.Workload)
 	}
-	if !s.Faults.Empty() {
-		fmt.Fprintf(&b, " faults=%s", s.Faults)
-	}
-	if s.traced() {
-		b.WriteString(" trace")
-	}
-	if s.metered() {
-		b.WriteString(" metrics")
-	}
-	if s.journeyed() {
-		b.WriteString(" journeys")
-	}
-	if s.Alerts != "" {
-		fmt.Fprintf(&b, " alerts=%s", s.Alerts)
-	}
+	s.writeKey(&b)
 	return b.String()
+}
+
+// resolve inherits the executor-wide observers. Serving is the one spec
+// kind that records journeys, so it alone inherits that switch too.
+func (s *serveSpec) resolve(x *Exec) {
+	s.Journeys = inherit(s.Journeys, x.journeys)
+	s.observe.resolve(x)
 }
 
 // run executes the spec at one seed: a full serving window over an audited
 // fleet, failing loudly on any leak — shed requests included.
-func (s serveSpec) run(seed uint64) (*serve.Result, error) {
+func (s serveSpec) run(_ *Exec, seed uint64) (*serve.Result, error) {
 	res, err := serve.Run(serve.Config{
 		Baseline:  s.Baseline,
 		Policy:    s.Policy,
@@ -119,95 +95,34 @@ func (s serveSpec) run(seed uint64) (*serve.Result, error) {
 	return res, nil
 }
 
-// fingerprintServe canonically serializes a serving run for determinism
-// verification: the admission accounting, per-tenant tallies, every sojourn,
-// and the fleet fingerprint beneath (placements, audits, observer digests).
-func fingerprintServe(v any) ([]byte, error) {
-	res, ok := v.(*serve.Result)
-	if !ok {
-		return nil, fmt.Errorf("experiments: fingerprinting %T, want *serve.Result", v)
+// fingerprint covers the admission accounting, per-tenant tallies, every
+// sojourn, and the fleet fingerprint beneath (placements, audits, observer
+// digests).
+func (serveSpec) fingerprint(res *serve.Result) []byte { return res.Fingerprint() }
+
+// servePolicies returns the admission policies a serving-plane experiment
+// sweeps: all of them, or the one the executor pins.
+func (x *Exec) servePolicies() ([]string, error) {
+	if x.servePolicy == "" {
+		return serve.Policies(), nil
 	}
-	return res.Fingerprint(), nil
-}
-
-// MultiServe is one serving scenario's outcome across the executor's seeds.
-type MultiServe struct {
-	perSeed []*serve.Result
-}
-
-// Primary returns the first seed's full result.
-func (m *MultiServe) Primary() *serve.Result { return m.perSeed[0] }
-
-// Metric aggregates f over every seed's result.
-func (m *MultiServe) Metric(f func(*serve.Result) time.Duration) stats.Estimate {
-	return stats.EstimateMetric(m.perSeed, f)
-}
-
-// serves fans the specs across the pool at every seed.
-func (x *Exec) serves(specs []serveSpec) ([]*MultiServe, error) {
-	jobs := make([]harness.Job, 0, len(specs)*len(x.seeds))
-	for _, sp := range specs {
-		sp := sp
-		if sp.Faults == nil {
-			sp.Faults = x.faults
-		}
-		if sp.Trace == nil {
-			tv := x.trace
-			sp.Trace = &tv
-		}
-		if sp.Metrics == nil {
-			mv := x.metrics
-			sp.Metrics = &mv
-		}
-		if sp.Journeys == nil {
-			jv := x.journeys
-			sp.Journeys = &jv
-		}
-		// Alert engines read the metrics registry; a spec that carries rules
-		// must carry metrics too, whatever the executor-wide default says.
-		if sp.Alerts != "" && !*sp.Metrics {
-			mv := true
-			sp.Metrics = &mv
-		}
-		for _, seed := range x.seeds {
-			seed := seed
-			jobs = append(jobs, harness.Job{
-				Key:         harness.Key{Scope: "serve", Params: sp.params(), Seed: seed},
-				Fn:          func() (any, error) { return sp.run(seed) },
-				Fingerprint: fingerprintServe,
-			})
+	for _, p := range serve.Policies() {
+		if p == x.servePolicy {
+			return []string{p}, nil
 		}
 	}
-	vals, err := x.pool.Do(jobs)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*MultiServe, len(specs))
-	k := 0
-	for i := range specs {
-		m := &MultiServe{}
-		for range x.seeds {
-			m.perSeed = append(m.perSeed, vals[k].(*serve.Result))
-			k++
-		}
-		out[i] = m
-	}
-	return out, nil
+	return nil, fmt.Errorf("experiments: unknown admission policy %q (want %v)", x.servePolicy, serve.Policies())
 }
 
-// Serving sweeps admission policy × baseline across an offered-load ladder.
-// See the executor method.
-func Serving(n int) (*Report, error) { return defaultExec().Serving(n) }
-
-// Serving on an executor: the admission-control study. An open-loop
-// multi-tenant arrival process feeds pod-start requests through the serving
-// control plane at rates from under vanilla's saturation point to 4× past
-// it. The headline is the cliff and the recovery: the no-admission baseline
-// (fifo) lets the queue — and the admitted p99 — grow without bound as
-// offered load passes capacity, while SLO-aware shedding holds p99 near its
-// target by trading goodput, and per-tenant token buckets cap each tenant at
-// its contracted share. A flash-crowd row stresses the extreme policies with
-// a 6× burst mid-window.
+// Serving sweeps admission policy × baseline across an offered-load ladder:
+// the admission-control study. An open-loop multi-tenant arrival process
+// feeds pod-start requests through the serving control plane at rates from
+// under vanilla's saturation point to 4× past it. The headline is the cliff
+// and the recovery: the no-admission baseline (fifo) lets the queue — and
+// the admitted p99 — grow without bound as offered load passes capacity,
+// while SLO-aware shedding holds p99 near its target by trading goodput, and
+// per-tenant token buckets cap each tenant at its contracted share. A
+// flash-crowd row stresses the extreme policies with a 6× burst mid-window.
 func (x *Exec) Serving(n int) (*Report, error) {
 	hosts := x.serveHosts
 	if hosts <= 0 {
@@ -219,19 +134,9 @@ func (x *Exec) Serving(n int) (*Report, error) {
 			return nil, err
 		}
 	}
-	policies := serve.Policies()
-	if x.servePolicy != "" {
-		found := false
-		for _, p := range policies {
-			if p == x.servePolicy {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("experiments: unknown admission policy %q (want %v)", x.servePolicy, serve.Policies())
-		}
-		policies = []string{x.servePolicy}
+	policies, err := x.servePolicies()
+	if err != nil {
+		return nil, err
 	}
 	rates := append([]float64(nil), DefaultServeRates...)
 	switch {
@@ -274,7 +179,7 @@ func (x *Exec) Serving(n int) (*Report, error) {
 		}
 	}
 
-	rs, err := x.serves(specs)
+	rs, err := runAll[*serve.Result](x, specs)
 	if err != nil {
 		return nil, err
 	}
@@ -293,7 +198,7 @@ func (x *Exec) Serving(n int) (*Report, error) {
 	goods := map[key]float64{}
 	for i, sp := range specs {
 		m := rs[i]
-		pri := m.Primary()
+		pri := m.primary()
 		rateLabel := fmt.Sprintf("%g", sp.Rate)
 		if i >= flashStart {
 			rateLabel += "+flash"
@@ -303,13 +208,13 @@ func (x *Exec) Serving(n int) (*Report, error) {
 			fmt.Sprintf("%.1f", 100*pri.ShedRate()),
 			fmt.Sprintf("%d/%d/%d/%d", pri.ShedQueueFull, pri.ShedPolicy, pri.ShedQueue, pri.CrashGiveups),
 			pri.Goodput(),
-			m.Metric(func(r *serve.Result) time.Duration { return r.Sojourns.P50() }),
-			m.Metric(func(r *serve.Result) time.Duration { return r.Sojourns.P99() }),
-			m.Metric(func(r *serve.Result) time.Duration { return r.Sojourns.P999() }),
+			m.metric(func(r *serve.Result) time.Duration { return r.Sojourns.P50() }),
+			m.metric(func(r *serve.Result) time.Duration { return r.Sojourns.P99() }),
+			m.metric(func(r *serve.Result) time.Duration { return r.Sojourns.P999() }),
 			fmt.Sprintf("%.3f", pri.Fairness()))
 		if i < flashStart {
 			k := key{sp.Baseline, sp.Policy, sp.Rate}
-			p99s[k] = m.Metric(func(r *serve.Result) time.Duration { return r.Sojourns.P99() }).Mean
+			p99s[k] = m.metric(func(r *serve.Result) time.Duration { return r.Sojourns.P99() }).Mean
 			sheds[k] = pri.ShedRate()
 			goods[k] = pri.Goodput()
 		}

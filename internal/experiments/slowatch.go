@@ -73,22 +73,18 @@ func slowatchScenarios() []slowatchScenario {
 	}
 }
 
-// Slowatch runs the SLO-watch study: alert detection latency per incident.
-// See the executor method.
-func Slowatch(n int) (*Report, error) { return defaultExec().Slowatch(n) }
-
-// Slowatch on an executor: the alerting study. Each scenario injects one
-// incident into the serving window — a host crash with recovery, or a 6×
-// flash crowd — while the simulated-time alert engine evaluates the
-// multi-window burn-rate rules against the live metrics registry. The
-// reported detection latency is simulated seconds from incident onset (the
-// crash ledger instant, or the burst clause) to the rule's first firing;
-// the resolve column is when the page clears again. The headline is the
-// observability face of the recovery asymmetry: vanilla's serial VF-pool
-// re-zero turns a 300ms reboot into a multi-second outage the burn-rate
-// rule pages on, while FastIOV's microsecond scrub-state rebuild keeps the
-// error fraction low enough that the same page resolves almost immediately
-// — or never fires at all.
+// Slowatch runs the SLO-watch study: alert detection latency per incident:
+// the alerting study. Each scenario injects one incident into the serving
+// window — a host crash with recovery, or a 6× flash crowd — while the
+// simulated-time alert engine evaluates the multi-window burn-rate rules
+// against the live metrics registry. The reported detection latency is
+// simulated seconds from incident onset (the crash ledger instant, or the
+// burst clause) to the rule's first firing; the resolve column is when the
+// page clears again. The headline is the observability face of the recovery
+// asymmetry: vanilla's serial VF-pool re-zero turns a 300ms reboot into a
+// multi-second outage the burn-rate rule pages on, while FastIOV's
+// microsecond scrub-state rebuild keeps the error fraction low enough that
+// the same page resolves almost immediately — or never fires at all.
 func (x *Exec) Slowatch(n int) (*Report, error) {
 	hosts := x.serveHosts
 	if hosts <= 0 {
@@ -98,19 +94,9 @@ func (x *Exec) Slowatch(n int) (*Report, error) {
 	if x.serveRate > 0 {
 		rate = x.serveRate
 	}
-	policies := serve.Policies()
-	if x.servePolicy != "" {
-		found := false
-		for _, p := range policies {
-			if p == x.servePolicy {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return nil, fmt.Errorf("experiments: unknown admission policy %q (want %v)", x.servePolicy, serve.Policies())
-		}
-		policies = []string{x.servePolicy}
+	policies, err := x.servePolicies()
+	if err != nil {
+		return nil, err
 	}
 	scenarios := slowatchScenarios()
 	if n > 0 {
@@ -128,8 +114,7 @@ func (x *Exec) Slowatch(n int) (*Report, error) {
 				sp := serveSpec{
 					Baseline: b, Policy: p, Hosts: hosts, Rate: rate,
 					Workload: sc.Workload,
-					Metrics:  &on, Journeys: &on,
-					Alerts: DefaultSlowatchRules,
+					observe:  observe{Metrics: &on, Journeys: &on, Alerts: DefaultSlowatchRules},
 				}
 				if sc.Faults != "" {
 					pl, err := fault.ParsePlan(sc.Faults)
@@ -147,7 +132,7 @@ func (x *Exec) Slowatch(n int) (*Report, error) {
 		}
 	}
 
-	rs, err := x.serves(specs)
+	rs, err := runAll[*serve.Result](x, specs)
 	if err != nil {
 		return nil, err
 	}
@@ -171,7 +156,7 @@ func (x *Exec) Slowatch(n int) (*Report, error) {
 	for _, sc := range scenarios {
 		for _, p := range policies {
 			for _, b := range baselines {
-				pri := rs[i].Primary()
+				pri := rs[i].primary()
 				i++
 				onset, onsetOK := sc.onset(pri)
 				eng := pri.Alerts

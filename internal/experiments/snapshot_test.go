@@ -30,10 +30,10 @@ func transparencySpecs(t *testing.T) []startupSpec {
 		// boot yet produce its own (Poisson) arrival pattern.
 		{Baseline: cluster.BaselineVanilla, N: 25,
 			Arrival: &cluster.Arrival{Kind: cluster.ArrivalPoisson, RatePerSec: 200}},
-		{Baseline: cluster.BaselineFastIOV, N: 40, Trace: &on},
-		{Baseline: cluster.BaselineFastIOV, N: 30, Metrics: &on},
+		{Baseline: cluster.BaselineFastIOV, N: 40, observe: observe{Trace: &on}},
+		{Baseline: cluster.BaselineFastIOV, N: 30, observe: observe{Metrics: &on}},
 		{Baseline: cluster.BaselinePre50, N: 20, DisableScrubber: true},
-		{Baseline: cluster.BaselineFastIOV, N: 30, Faults: pl},
+		{Baseline: cluster.BaselineFastIOV, N: 30, observe: observe{Faults: pl}},
 	}
 }
 
@@ -41,17 +41,13 @@ func transparencySpecs(t *testing.T) []startupSpec {
 // primary result's canonical fingerprint.
 func runFingerprints(t *testing.T, x *Exec, specs []startupSpec) [][]byte {
 	t.Helper()
-	results, err := x.startups(specs)
+	results, err := runAll[*cluster.Result](x, specs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fps := make([][]byte, len(results))
 	for i, m := range results {
-		fp, err := fingerprintResult(m.Primary())
-		if err != nil {
-			t.Fatal(err)
-		}
-		fps[i] = fp
+		fps[i] = specs[i].fingerprint(m.primary())
 	}
 	return fps
 }
@@ -69,7 +65,7 @@ func TestSnapshotCacheTransparency(t *testing.T) {
 
 	snapped := NewExec(2, []uint64{1, 2})
 	snapped.SetVerify(true)
-	if !snapped.Snapshots() {
+	if !snapped.snapshots {
 		t.Fatal("snapshot caching must be on by default")
 	}
 	got := runFingerprints(t, snapped, specs)
@@ -99,11 +95,11 @@ func TestSnapshotCacheTransparency(t *testing.T) {
 // -snapshots flag.
 func TestSnapshotToggleRoundTrip(t *testing.T) {
 	x := NewExec(1, nil)
-	if !x.Snapshots() {
+	if !x.snapshots {
 		t.Fatal("snapshots must default on")
 	}
 	x.SetSnapshots(false)
-	if x.Snapshots() {
+	if x.snapshots {
 		t.Fatal("SetSnapshots(false) did not stick")
 	}
 }

@@ -62,7 +62,10 @@ func (r *rig) startVM(t *testing.T, p *sim.Proc) *hypervisor.MicroVM {
 	t.Helper()
 	mvm := hypervisor.New(r.env, 0, layout(), nil)
 	mvm.Start(p)
-	if err := mvm.AttachVF(p, r.vd, true); err != nil {
+	if err := mvm.MapGuestMemory(p, r.vd, true); err != nil {
+		t.Fatal(err)
+	}
+	if err := mvm.OpenDevice(p); err != nil {
 		t.Fatal(err)
 	}
 	if err := mvm.LoadFirmware(p); err != nil {

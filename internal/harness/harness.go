@@ -24,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -107,9 +106,6 @@ func New(workers int) *Pool {
 	}
 	return &Pool{workers: workers, cache: make(map[Key]*entry)}
 }
-
-// Workers returns the pool's concurrency bound.
-func (p *Pool) Workers() int { return p.workers }
 
 // SetVerify toggles determinism verification: every subsequent cache miss
 // executes its job twice and fails with a *DivergenceError if the two runs'
@@ -231,26 +227,6 @@ func joinDistinct(errs []error) error {
 		distinct = append(distinct, err)
 	}
 	return errors.Join(distinct...)
-}
-
-// Keys returns every cached key, sorted, for diagnostics.
-func (p *Pool) Keys() []Key {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	keys := make([]Key, 0, len(p.cache))
-	for k := range p.cache {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Scope != keys[j].Scope {
-			return keys[i].Scope < keys[j].Scope
-		}
-		if keys[i].Params != keys[j].Params {
-			return keys[i].Params < keys[j].Params
-		}
-		return keys[i].Seed < keys[j].Seed
-	})
-	return keys
 }
 
 // FirstDivergence locates the first differing byte of a and b and renders

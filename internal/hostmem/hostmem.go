@@ -454,27 +454,6 @@ func (a *Allocator) PreZero(fraction float64) {
 	}
 }
 
-// StartScrubDaemon launches a background daemon that zeroes free dirty
-// pages at the given pages-per-wake rate, modeling ongoing idle-time
-// pre-zeroing during an experiment.
-func (a *Allocator) StartScrubDaemon(pagesPerWake int, wakeEvery time.Duration) {
-	a.k.GoDaemon("hostmem-scrub", func(p *sim.Proc) {
-		cursor := int64(0)
-		for {
-			p.Sleep(wakeEvery)
-			cleared := 0
-			for scanned := int64(0); scanned < a.pages && cleared < pagesPerWake; scanned++ {
-				i := cursor
-				cursor = (cursor + 1) % a.pages
-				if !a.allocated[i] && a.state[i] == Dirty {
-					a.ZeroPage(p, i)
-					cleared++
-				}
-			}
-		}
-	})
-}
-
 // Bandwidth exposes the zeroing bandwidth resource so other DMA-heavy
 // components (e.g., virtio data copies) share the same bottleneck.
 func (a *Allocator) Bandwidth() *sim.Resource { return a.membw }

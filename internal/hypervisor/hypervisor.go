@@ -311,15 +311,6 @@ func (m *MicroVM) OpenDevice(p *sim.Proc) error {
 	return nil
 }
 
-// AttachVF is the full passthrough attachment: map guest memory, then open
-// the device.
-func (m *MicroVM) AttachVF(p *sim.Proc, vd *vfio.Device, skipImage bool) error {
-	if err := m.MapGuestMemory(p, vd, skipImage); err != nil {
-		return err
-	}
-	return m.OpenDevice(p)
-}
-
 // VFDevice returns the attached VFIO device (nil without passthrough).
 func (m *MicroVM) VFDevice() *vfio.Device { return m.vfdev }
 
@@ -388,12 +379,6 @@ func (m *MicroVM) noteVhost() {
 func (m *MicroVM) UnregisterVhost() {
 	m.Env.vhostRegs -= m.vhostRegs
 	m.vhostRegs = 0
-}
-
-// SetupVirtioFS runs both halves back to back (tests and simple callers).
-func (m *MicroVM) SetupVirtioFS(p *sim.Proc) {
-	m.StartVirtioFSDaemon(p)
-	m.RegisterVhost(p)
 }
 
 // VirtioFSRead transfers bytes of file data from the host into the guest

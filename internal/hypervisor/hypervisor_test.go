@@ -29,6 +29,15 @@ func smallLayout() Layout {
 	return Layout{RAMBytes: 64 << 20, ImageBytes: 32 << 20, FirmwareBytes: 8 << 20}
 }
 
+// attachVF is the full passthrough attachment: map guest memory, then
+// open the device.
+func attachVF(p *sim.Proc, mvm *MicroVM, vd *vfio.Device, skipImage bool) error {
+	if err := mvm.MapGuestMemory(p, vd, skipImage); err != nil {
+		return err
+	}
+	return mvm.OpenDevice(p)
+}
+
 func newRig(t *testing.T, lazy bool) *rig {
 	t.Helper()
 	k := sim.NewKernel(1)
@@ -67,7 +76,7 @@ func TestAttachMapsAllRegions(t *testing.T) {
 	mvm := New(r.env, 0, smallLayout(), nil)
 	r.k.Go("t", func(p *sim.Proc) {
 		mvm.Start(p)
-		if err := mvm.AttachVF(p, r.vds[0], false); err != nil {
+		if err := attachVF(p, mvm, r.vds[0], false); err != nil {
 			t.Fatal(err)
 		}
 		// RAM + firmware + image all translated in the IOMMU domain.
@@ -87,7 +96,7 @@ func TestSkipImageLeavesItUnmapped(t *testing.T) {
 	mvm := New(r.env, 0, smallLayout(), nil)
 	r.k.Go("t", func(p *sim.Proc) {
 		mvm.Start(p)
-		if err := mvm.AttachVF(p, r.vds[0], true); err != nil {
+		if err := attachVF(p, mvm, r.vds[0], true); err != nil {
 			t.Fatal(err)
 		}
 		wantPages := (64 + 8) << 20 / int(r.mem.PageSize())
@@ -110,7 +119,7 @@ func TestEagerAttachZeroesRAM(t *testing.T) {
 	mvm := New(r.env, 0, smallLayout(), nil)
 	r.k.Go("t", func(p *sim.Proc) {
 		mvm.Start(p)
-		mvm.AttachVF(p, r.vds[0], true)
+		attachVF(p, mvm, r.vds[0], true)
 		// Guest can read all RAM with no violations.
 		if err := mvm.VM.TouchRange(p, 0, mvm.Layout.RAMBytes, false); err != nil {
 			t.Fatal(err)
@@ -127,7 +136,7 @@ func TestLazyAttachDefersZeroing(t *testing.T) {
 	mvm := New(r.env, 0, smallLayout(), nil)
 	r.k.Go("t", func(p *sim.Proc) {
 		mvm.Start(p)
-		mvm.AttachVF(p, r.vds[0], true)
+		attachVF(p, mvm, r.vds[0], true)
 		// RAM pages are tracked, not zeroed.
 		if got := r.lazy.Tracked(mvm.VM.PID); got != 32 { // 64 MB / 2 MB
 			t.Errorf("tracked = %d, want 32", got)
@@ -150,7 +159,7 @@ func TestFirmwareProtocolUnderLazyZeroing(t *testing.T) {
 	mvm := New(r.env, 0, smallLayout(), nil)
 	r.k.Go("t", func(p *sim.Proc) {
 		mvm.Start(p)
-		mvm.AttachVF(p, r.vds[0], true)
+		attachVF(p, mvm, r.vds[0], true)
 		if err := mvm.LoadFirmware(p); err != nil {
 			t.Fatal(err)
 		}
@@ -172,7 +181,7 @@ func TestVirtioFSReadProactiveIsSafe(t *testing.T) {
 	mvm := New(r.env, 0, smallLayout(), nil)
 	r.k.Go("t", func(p *sim.Proc) {
 		mvm.Start(p)
-		mvm.AttachVF(p, r.vds[0], true)
+		attachVF(p, mvm, r.vds[0], true)
 		if err := mvm.VirtioFSRead(p, 48<<20, true); err != nil {
 			t.Fatal(err)
 		}
@@ -189,7 +198,7 @@ func TestVirtioFSReadWithoutProactiveCorrupts(t *testing.T) {
 	mvm := New(r.env, 0, smallLayout(), nil)
 	r.k.Go("t", func(p *sim.Proc) {
 		mvm.Start(p)
-		mvm.AttachVF(p, r.vds[0], true)
+		attachVF(p, mvm, r.vds[0], true)
 		if err := mvm.VirtioFSRead(p, 16<<20, false); err != nil {
 			t.Fatal(err)
 		}
@@ -205,7 +214,7 @@ func TestVirtioFSCursorWraps(t *testing.T) {
 	mvm := New(r.env, 0, smallLayout(), nil)
 	r.k.Go("t", func(p *sim.Proc) {
 		mvm.Start(p)
-		mvm.AttachVF(p, r.vds[0], true)
+		attachVF(p, mvm, r.vds[0], true)
 		// Transfer more than RAM: the shared-buffer cursor must wrap.
 		if err := mvm.VirtioFSRead(p, 200<<20, false); err != nil {
 			t.Fatal(err)
@@ -222,7 +231,8 @@ func TestSpansRecorded(t *testing.T) {
 	r.k.Go("t", func(p *sim.Proc) {
 		mvm.Start(p)
 		mvm.MapGuestMemory(p, r.vds[0], false)
-		mvm.SetupVirtioFS(p)
+		mvm.StartVirtioFSDaemon(p)
+		mvm.RegisterVhost(p)
 		mvm.OpenDevice(p)
 	})
 	r.k.Run()
@@ -244,7 +254,7 @@ func TestTeardownReleasesEverything(t *testing.T) {
 		mvm := New(r.env, 0, smallLayout(), nil)
 		r.k.Go("t", func(p *sim.Proc) {
 			mvm.Start(p)
-			mvm.AttachVF(p, r.vds[0], false)
+			attachVF(p, mvm, r.vds[0], false)
 			mvm.LoadFirmware(p)
 			if err := mvm.Teardown(p); err != nil {
 				t.Fatal(err)
@@ -269,7 +279,7 @@ func TestTeardownWithSkipImage(t *testing.T) {
 	mvm := New(r.env, 0, smallLayout(), nil)
 	r.k.Go("t", func(p *sim.Proc) {
 		mvm.Start(p)
-		mvm.AttachVF(p, r.vds[0], true)
+		attachVF(p, mvm, r.vds[0], true)
 		// Touch some demand-paged image memory so teardown must free it.
 		mvm.VM.TouchRange(p, mvm.Layout.ImageBase(), 8<<20, false)
 		if err := mvm.Teardown(p); err != nil {

@@ -175,9 +175,6 @@ func (s *MemSlot) hpaAt(idx int64) int64 {
 	return s.pages[idx]
 }
 
-// Slots returns the VM's memory slots.
-func (vm *VM) Slots() []*MemSlot { return vm.slots }
-
 // slotFor finds the slot containing gpa.
 func (vm *VM) slotFor(gpa int64) (*MemSlot, error) {
 	for _, s := range vm.slots {

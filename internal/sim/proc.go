@@ -37,9 +37,6 @@ func (p *Proc) ID() int { return p.id }
 // Finished reports whether the Proc's body has returned.
 func (p *Proc) Finished() bool { return p.finished }
 
-// Kernel returns the kernel this Proc runs on.
-func (p *Proc) Kernel() *Kernel { return p.k }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() Duration { return p.k.now }
 
@@ -122,7 +119,3 @@ func (p *Proc) Yield() { p.Sleep(0) }
 
 // Join blocks until q finishes.
 func (p *Proc) Join(q *Proc) { q.doneEv.Await(p) }
-
-// Done returns an Event fired when the Proc finishes, for use with
-// WaitAny-style composition.
-func (p *Proc) Done() *Event { return &p.doneEv }

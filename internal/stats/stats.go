@@ -233,9 +233,6 @@ func NewTable(header ...string) *Table { return &Table{header: header} }
 // Header returns the column headers (not a copy).
 func (t *Table) Header() []string { return t.header }
 
-// Rows returns the number of data rows.
-func (t *Table) Rows() int { return len(t.rows) }
-
 // AddRow appends a row; cells are formatted with %v.
 func (t *Table) AddRow(cells ...any) {
 	row := make([]string, len(cells))

@@ -160,11 +160,6 @@ func (s *DevSet) Devices() []*Device { return s.devices }
 // TotalOpen returns the devset-wide open count.
 func (s *DevSet) TotalOpen() int { return s.totalOpen }
 
-// GlobalLockStats exposes contention counters for the experiment reports.
-func (s *DevSet) GlobalLockStats() (acquisitions, contended uint64) {
-	return s.global.Acquisitions, s.global.Contended
-}
-
 // Device is a VFIO-bound device.
 type Device struct {
 	PDev *pci.Device
@@ -560,19 +555,6 @@ func (d *Driver) UnmapDMA(p *sim.Proc, vd *Device, iovaBase int64) error {
 	vd.domain.Unmap(p, iovaBase, region.Bytes)
 	d.mem.Unpin(p, region)
 	d.mem.Free(p, region)
-	return nil
-}
-
-// ReleaseDomain destroys the device's IOMMU domain after all mappings are
-// gone (container teardown).
-func (d *Driver) ReleaseDomain(vd *Device) error {
-	if len(vd.dmaRegions) > 0 {
-		return fmt.Errorf("vfio: %d live mappings on %s", len(vd.dmaRegions), vd.PDev.Addr)
-	}
-	if vd.domain != nil {
-		d.mmu.DestroyDomain(vd.domain)
-		vd.domain = nil
-	}
 	return nil
 }
 
