@@ -14,21 +14,21 @@ import (
 // ledger, the reboot path, or the serving reroute loop shows up as a
 // byte diff.
 func TestGoldenAvailText(t *testing.T) {
-	golden(t, "avail_n20.txt", []string{"-availability", "-n", "20"})
+	golden(t, "avail_n20.txt", []string{"-experiment", "availability", "-n", "20"})
 }
 
 func TestGoldenAvailCSV(t *testing.T) {
-	golden(t, "avail_n20.csv", []string{"-availability", "-n", "20", "-csv"})
+	golden(t, "avail_n20.csv", []string{"-experiment", "availability", "-n", "20", "-csv"})
 }
 
 // TestAvailMTBFFlagChangesOutput checks -mtbf reaches the crash plan: a
 // pinned single-cell sweep renders differently from the default cell.
 func TestAvailMTBFFlagChangesOutput(t *testing.T) {
 	var def, pinned, errBuf bytes.Buffer
-	if code := run([]string{"-availability", "-n", "20"}, &def, &errBuf); code != 0 {
+	if code := run([]string{"-experiment", "availability", "-n", "20"}, &def, &errBuf); code != 0 {
 		t.Fatalf("default cell: exit %d, stderr: %s", code, errBuf.String())
 	}
-	if code := run([]string{"-availability", "-n", "20", "-mtbf", "1s"}, &pinned, &errBuf); code != 0 {
+	if code := run([]string{"-experiment", "availability", "-n", "20", "-mtbf", "1s"}, &pinned, &errBuf); code != 0 {
 		t.Fatalf("-mtbf 1s: exit %d, stderr: %s", code, errBuf.String())
 	}
 	if stripTimes(def.String()) == stripTimes(pinned.String()) {
@@ -45,7 +45,7 @@ func TestAvailMTBFFlagChangesOutput(t *testing.T) {
 // snapshots, reboot costs, or reroute decisions.
 func TestAvailVerifyDeterminismCLI(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	argv := []string{"-availability", "-n", "20", "-verify-determinism"}
+	argv := []string{"-experiment", "availability", "-n", "20", "-verify-determinism"}
 	if code := run(argv, &stdout, &stderr); code != 0 {
 		t.Fatalf("run(%v) = %d, stderr:\n%s", argv, code, stderr.String())
 	}

@@ -13,25 +13,25 @@ import (
 // scheduler scoring, the shared-kernel fleet boot, or the rendering shows
 // up as a byte diff.
 func TestGoldenFleetText(t *testing.T) {
-	golden(t, "fleet_h8_n4.txt", []string{"-fleet", "-hosts", "8", "-n", "4"})
+	golden(t, "fleet_h8_n4.txt", []string{"-experiment", "fleet", "-hosts", "8", "-n", "4"})
 }
 
 func TestGoldenFleetCSV(t *testing.T) {
-	golden(t, "fleet_h8_n4.csv", []string{"-fleet", "-hosts", "8", "-n", "4", "-csv"})
+	golden(t, "fleet_h8_n4.csv", []string{"-experiment", "fleet", "-hosts", "8", "-n", "4", "-csv"})
 }
 
 // The per-policy summary restricts the sweep to one policy via -policy; the
 // golden pins that the restriction reaches the experiment (only vf-aware
 // rows, no cross-policy notes).
 func TestGoldenFleetPolicyText(t *testing.T) {
-	golden(t, "fleet_h8_n4_vfaware.txt", []string{"-fleet", "-hosts", "8", "-n", "4", "-policy", "vf-aware"})
+	golden(t, "fleet_h8_n4_vfaware.txt", []string{"-experiment", "fleet", "-hosts", "8", "-n", "4", "-policy", "vf-aware"})
 }
 
 // TestBadFleetPolicyExits1 checks -policy validation: an unknown policy
 // fails the fleet experiment with a diagnosis naming the bad value.
 func TestBadFleetPolicyExits1(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-fleet", "-hosts", "4", "-n", "2", "-policy", "bogus"}, &stdout, &stderr); code != 1 {
+	if code := run([]string{"-experiment", "fleet", "-hosts", "4", "-n", "2", "-policy", "bogus"}, &stdout, &stderr); code != 1 {
 		t.Fatalf("exit code = %d, want 1, stderr:\n%s", code, stderr.String())
 	}
 	if !strings.Contains(stderr.String(), `unknown policy "bogus"`) {
@@ -44,7 +44,7 @@ func TestBadFleetPolicyExits1(t *testing.T) {
 // byte-level divergence in placements, queue peaks, or audits.
 func TestFleetVerifyDeterminismCLI(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	argv := []string{"-fleet", "-hosts", "6", "-n", "4", "-seeds", "2", "-verify-determinism"}
+	argv := []string{"-experiment", "fleet", "-hosts", "6", "-n", "4", "-seeds", "2", "-verify-determinism"}
 	if code := run(argv, &stdout, &stderr); code != 0 {
 		t.Fatalf("run(%v) = %d, stderr:\n%s", argv, code, stderr.String())
 	}
@@ -57,10 +57,10 @@ func TestFleetVerifyDeterminismCLI(t *testing.T) {
 // same sweep at different fleet sizes renders differently.
 func TestFleetHostsFlagChangesOutput(t *testing.T) {
 	var small, large, errBuf bytes.Buffer
-	if code := run([]string{"-fleet", "-hosts", "4", "-n", "3"}, &small, &errBuf); code != 0 {
+	if code := run([]string{"-experiment", "fleet", "-hosts", "4", "-n", "3"}, &small, &errBuf); code != 0 {
 		t.Fatalf("hosts=4: exit %d, stderr: %s", code, errBuf.String())
 	}
-	if code := run([]string{"-fleet", "-hosts", "8", "-n", "3"}, &large, &errBuf); code != 0 {
+	if code := run([]string{"-experiment", "fleet", "-hosts", "8", "-n", "3"}, &large, &errBuf); code != 0 {
 		t.Fatalf("hosts=8: exit %d, stderr: %s", code, errBuf.String())
 	}
 	if stripTimes(small.String()) == stripTimes(large.String()) {

@@ -15,11 +15,11 @@ import (
 // unintended change to the metrics registry, burn-rate evaluation, journey
 // threading, or crash scheduling shows up as a byte diff.
 func TestGoldenSlowatchText(t *testing.T) {
-	golden(t, "slowatch_n8.txt", []string{"-slowatch", "-n", "8"})
+	golden(t, "slowatch_n8.txt", []string{"-experiment", "slowatch", "-n", "8"})
 }
 
 func TestGoldenSlowatchCSV(t *testing.T) {
-	golden(t, "slowatch_n8.csv", []string{"-slowatch", "-n", "8", "-csv"})
+	golden(t, "slowatch_n8.csv", []string{"-experiment", "slowatch", "-n", "8", "-csv"})
 }
 
 // journeyExports runs the standalone journey-export mode once and returns
@@ -134,7 +134,7 @@ func TestBadAlertRulesExits2(t *testing.T) {
 // through the public flag, failing on any byte-level divergence.
 func TestSlowatchVerifyDeterminismCLI(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	argv := []string{"-slowatch", "-n", "8", "-seeds", "2", "-verify-determinism"}
+	argv := []string{"-experiment", "slowatch", "-n", "8", "-seeds", "2", "-verify-determinism"}
 	if code := run(argv, &stdout, &stderr); code != 0 {
 		t.Fatalf("run(%v) = %d, stderr:\n%s", argv, code, stderr.String())
 	}

@@ -10,14 +10,15 @@
 //	fastiov-bench -experiment all -verify-determinism
 //	fastiov-bench -experiment tab1 -faults "vfio-reset:p=0.1;crash@dma:p=0.2"
 //	fastiov-bench -experiment recovery
-//	fastiov-bench -contention -n 100
-//	fastiov-bench -fleet -hosts 100 -n 20
-//	fastiov-bench -fleet -policy vf-aware
-//	fastiov-bench -serve -rate 64 -policy slo-aware
-//	fastiov-bench -serve -tenants "api:rate=40;batch:rate=20,prio=low"
-//	fastiov-bench -trace out.json -n 50
-//	fastiov-bench -slowatch
-//	fastiov-bench -serve -journeys -verify-determinism
+//	fastiov-bench -experiment contention -n 100
+//	fastiov-bench -experiment fleet -hosts 100 -n 20
+//	fastiov-bench -experiment fleet -policy vf-aware
+//	fastiov-bench -experiment serving -rate 64 -policy slo-aware
+//	fastiov-bench -experiment serving -tenants "api:rate=40;batch:rate=20,prio=low"
+//	fastiov-bench -experiment slowatch
+//	fastiov-bench -experiment serving -journeys -verify-determinism
+//	fastiov-bench -trace out.json -n 50 -baseline fastiov
+//	fastiov-bench -metrics m.om -metrics-csv m.csv -dashboard -n 50
 //	fastiov-bench -journey-trace j.json -journey-log j.jsonl -alerts alerts.txt \
 //	  -faults "host-crash@600ms:host=0;host-recover=300ms"
 //
@@ -31,6 +32,13 @@
 // fault plan (site:key=value clauses, including crash@<stage> startup
 // aborts; see EXPERIMENTS.md) into every experiment that does not sweep
 // its own plans (chaos and recovery pin theirs).
+//
+// The export modes (-trace; -metrics, -metrics-csv, -dashboard;
+// -journey-trace, -journey-log, -alerts) each cut their artifacts from one
+// run instead of running experiments. Flags of one mode combine; flags of
+// two modes, or an export mode with -experiment or -list, are a usage
+// error. -baseline picks the export run's baseline (default vanilla for
+// the trace and metrics modes, fastiov for the journey mode).
 //
 // Every harness run is leak-audited: after measurement the surviving
 // sandboxes are stopped and the host's conservation counters (free VFs,
@@ -83,29 +91,22 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		verify     = fs.Bool("verify-determinism", false, "run each simulation twice and each experiment parallel+serial, failing on divergence")
 		faults     = fs.String("faults", "", "fault plan injected into every experiment, e.g. 'vfio-reset:p=0.1;dma-map:every=5'")
 		tracePath  = fs.String("trace", "", "write a Chrome trace-event JSON of one traced startup run to this file and exit (load in ui.perfetto.dev)")
-		traceBase  = fs.String("trace-baseline", "vanilla", "baseline for -trace")
-		contention = fs.Bool("contention", false, "shorthand for -experiment contention")
-		fleetRun   = fs.Bool("fleet", false, "shorthand for -experiment fleet")
-		serveRun   = fs.Bool("serve", false, "shorthand for -experiment serving")
-		availRun   = fs.Bool("availability", false, "shorthand for -experiment availability")
+		base       = fs.String("baseline", "", "baseline of the export modes' run (empty = vanilla for -trace and the metrics exports, fastiov for the journey exports)")
 		mtbf       = fs.Duration("mtbf", 0, "availability experiment host MTBF, e.g. 2s (<=0 = the default MTBF/MTTR ladder)")
 		hosts      = fs.Int("hosts", 0, "fleet/serving experiment host count (<=0 = paper-scale default)")
-		policy     = fs.String("policy", "", "restrict the fleet experiment to one placement policy (random|rr|least-loaded|vf-aware), or with -serve one admission policy (fifo|token-bucket|slo-aware); empty sweeps all")
+		policy     = fs.String("policy", "", "restrict the fleet experiment to one placement policy (random|rr|least-loaded|vf-aware), or with -experiment serving|availability|slowatch one admission policy (fifo|token-bucket|slo-aware); empty sweeps all")
 		rate       = fs.Float64("rate", 0, "serving experiment offered load in req/s (<=0 = the default overload ladder)")
 		tenants    = fs.String("tenants", "", "serving experiment workload spec, e.g. 'api:rate=40;batch:rate=20,prio=low' (empty = default tenant mix)")
 		jsonPath   = fs.String("json", "", "also write machine-readable results (fastiov-bench/v1 schema, see BENCH_SCHEMA.md) to this file")
 		metricsOut = fs.String("metrics", "", "write an OpenMetrics snapshot of one metered startup run to this file and exit")
 		metricsCSV = fs.String("metrics-csv", "", "write the sampled per-metric time series of one metered startup run as CSV to this file and exit")
 		dashboard  = fs.Bool("dashboard", false, "print an ASCII host dashboard of one metered startup run and exit")
-		metricBase = fs.String("metrics-baseline", "vanilla", "baseline for -metrics/-metrics-csv/-dashboard")
 		snapshots  = fs.Bool("snapshots", true, "cache boot-prefix snapshots so scenarios sharing a boot clone it instead of re-simulating (results identical either way)")
 		journeys   = fs.Bool("journeys", false, "record per-request journey traces on every serving run (pure observation; reports render identically)")
 		jtracePath = fs.String("journey-trace", "", "write a Chrome trace-event JSON of one journey-traced serving run to this file and exit (load in ui.perfetto.dev)")
 		jlogPath   = fs.String("journey-log", "", "write the canonical JSONL span log of one journey-traced serving run to this file and exit")
 		alertsPath = fs.String("alerts", "", "write the alert engine's timeline of one journey-traced serving run to this file and exit")
 		alertRules = fs.String("alert-rules", "", "alert rule spec for -alerts and the slowatch experiment exports (empty = the default slo-burn + crash-seen rules)")
-		jbase      = fs.String("journey-baseline", "fastiov", "baseline for -journey-trace/-journey-log/-alerts")
-		slowatch   = fs.Bool("slowatch", false, "shorthand for -experiment slowatch")
 	)
 	if err := fs.Parse(argv); err != nil {
 		return 2
@@ -118,76 +119,95 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "fastiov-bench: -tenants:", err)
 		return 2
 	}
-	if *tracePath != "" {
-		// Trace export is a standalone mode, like -list: one traced run of
-		// the startup scenario at the first seed, written as Chrome JSON.
-		tn := *n
-		if tn <= 0 {
-			tn = 50
+	// Each export mode cuts its artifacts from one run of its own, so
+	// flags of two modes, or an export mode and an experiment run, cannot
+	// share an invocation.
+	var on []string
+	mode, modes := "", map[string]bool{}
+	for _, e := range []struct {
+		mode, flag string
+		set        bool
+	}{
+		{"trace", "-trace", *tracePath != ""},
+		{"metrics", "-metrics", *metricsOut != ""},
+		{"metrics", "-metrics-csv", *metricsCSV != ""},
+		{"metrics", "-dashboard", *dashboard},
+		{"journey", "-journey-trace", *jtracePath != ""},
+		{"journey", "-journey-log", *jlogPath != ""},
+		{"journey", "-alerts", *alertsPath != ""},
+	} {
+		if e.set {
+			on = append(on, e.flag)
+			mode, modes[e.mode] = e.mode, true
 		}
-		f, err := os.Create(*tracePath)
-		if err != nil {
-			fmt.Fprintln(stderr, "fastiov-bench: -trace:", err)
-			return 1
-		}
-		err = fastiov.WriteStartupTrace(f, *traceBase, tn, fastiov.SeedList(*seeds)[0])
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fmt.Fprintln(stderr, "fastiov-bench: -trace:", err)
-			return 1
-		}
-		fmt.Fprintf(stdout, "wrote %s (%s, %d containers); load it in ui.perfetto.dev or chrome://tracing\n",
-			*tracePath, *traceBase, tn)
-		return 0
 	}
-	if *metricsOut != "" || *metricsCSV != "" || *dashboard {
-		// Metrics export is a standalone mode, like -trace: one metered run
-		// of the startup scenario at the first seed, exported as an
+	experimentSet := false
+	fs.Visit(func(f *flag.Flag) { experimentSet = experimentSet || f.Name == "experiment" })
+	switch {
+	case len(modes) > 1:
+		fmt.Fprintf(stderr, "fastiov-bench: %s belong to different export modes; run one mode at a time\n", strings.Join(on, " "))
+		return 2
+	case mode != "" && experimentSet:
+		fmt.Fprintf(stderr, "fastiov-bench: -experiment cannot be combined with %s\n", strings.Join(on, " "))
+		return 2
+	case mode != "" && *list:
+		fmt.Fprintf(stderr, "fastiov-bench: -list cannot be combined with %s\n", strings.Join(on, " "))
+		return 2
+	case mode == "" && *base != "":
+		fmt.Fprintln(stderr, "fastiov-bench: -baseline needs an export mode (-trace, -metrics, -metrics-csv, -dashboard, -journey-trace, -journey-log or -alerts)")
+		return 2
+	}
+	b := *base
+	if b == "" {
+		b = "vanilla"
+		if mode == "journey" {
+			b = "fastiov"
+		}
+	}
+	exportN := *n
+	if exportN <= 0 {
+		exportN = 50
+	}
+	seed := fastiov.SeedList(*seeds)[0]
+	switch mode {
+	case "trace":
+		// One traced run of the startup scenario, written as Chrome JSON.
+		return writeExports(stdout, stderr, "-trace",
+			[]export{{*tracePath, fmt.Sprintf("(%s, %d containers); load it in ui.perfetto.dev or chrome://tracing", b, exportN)}},
+			func(ws []io.Writer) error { return fastiov.WriteStartupTrace(ws[0], b, exportN, seed) })
+	case "metrics":
+		// One metered run of the startup scenario, exported as an
 		// OpenMetrics snapshot, a CSV time series, a dashboard, or any
 		// combination. The bytes are a pure function of (baseline, n, seed).
-		mn := *n
-		if mn <= 0 {
-			mn = 50
-		}
-		reg, err := fastiov.StartupMetrics(*metricBase, mn, fastiov.SeedList(*seeds)[0])
+		reg, err := fastiov.StartupMetrics(b, exportN, seed)
 		if err != nil {
 			fmt.Fprintln(stderr, "fastiov-bench: -metrics:", err)
 			return 1
 		}
-		writeExport := func(path, format string, export func(io.Writer) error) bool {
-			f, err := os.Create(path)
-			if err == nil {
-				err = export(f)
-				if cerr := f.Close(); err == nil {
-					err = cerr
+		note := func(format string) string {
+			return fmt.Sprintf("(%s, %s, %d containers, %d instruments, %d samples @ %v)",
+				format, b, exportN, len(reg.IDs()), reg.Samples(), reg.Cadence())
+		}
+		code := writeExports(stdout, stderr, "-metrics",
+			[]export{{*metricsOut, note("OpenMetrics")}, {*metricsCSV, note("CSV time series")}},
+			func(ws []io.Writer) error {
+				for i, write := range []func(io.Writer) error{reg.WriteOpenMetrics, reg.WriteCSV} {
+					if ws[i] == nil {
+						continue
+					}
+					if err := write(ws[i]); err != nil {
+						return err
+					}
 				}
-			}
-			if err != nil {
-				fmt.Fprintln(stderr, "fastiov-bench: -metrics:", err)
-				return false
-			}
-			fmt.Fprintf(stdout, "wrote %s (%s, %s, %d containers, %d instruments, %d samples @ %v)\n",
-				path, format, *metricBase, mn, len(reg.IDs()), reg.Samples(), reg.Cadence())
-			return true
+				return nil
+			})
+		if code == 0 && *dashboard {
+			fmt.Fprintf(stdout, "%s, concurrency %d:\n%s", b, exportN, reg.Dashboard(100))
 		}
-		if *metricsOut != "" && !writeExport(*metricsOut, "OpenMetrics", reg.WriteOpenMetrics) {
-			return 1
-		}
-		if *metricsCSV != "" && !writeExport(*metricsCSV, "CSV time series", reg.WriteCSV) {
-			return 1
-		}
-		if *dashboard {
-			fmt.Fprintf(stdout, "%s, concurrency %d:\n%s", *metricBase, mn, reg.Dashboard(100))
-		}
-		return 0
-	}
-	if *jtracePath != "" || *jlogPath != "" || *alertsPath != "" {
-		// Journey export is a standalone mode, like -trace: one
-		// journey-traced serving run at the first seed, exported as a
-		// Perfetto track group, a JSONL span log, an alert timeline, or any
-		// combination — all cut from the same run.
+		return code
+	case "journey":
+		// One journey-traced serving run, exported as a Perfetto track
+		// group, a JSONL span log, an alert timeline, or any combination.
 		rules := *alertRules
 		if rules == "" && *alertsPath != "" {
 			rules = fastiov.DefaultAlertRules
@@ -197,68 +217,27 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 		cfg := fastiov.JourneyExportConfig{
-			Baseline:   *jbase,
+			Baseline:   b,
 			Policy:     *policy,
 			Hosts:      *hosts,
 			Rate:       *rate,
 			FaultSpec:  *faults,
 			AlertRules: rules,
-			Seed:       fastiov.SeedList(*seeds)[0],
+			Seed:       seed,
 		}
-		files := make(map[string]*os.File, 3)
-		writers := make([]io.Writer, 3)
-		for i, path := range []string{*jtracePath, *jlogPath, *alertsPath} {
-			if path == "" {
-				continue
-			}
-			f, err := os.Create(path)
-			if err != nil {
-				fmt.Fprintln(stderr, "fastiov-bench: -journey:", err)
-				return 1
-			}
-			files[path] = f
-			writers[i] = f
-		}
-		err := fastiov.WriteJourneyExports(cfg, writers[0], writers[1], writers[2])
-		for _, f := range files {
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintln(stderr, "fastiov-bench: -journey:", err)
-			return 1
-		}
-		for _, pair := range []struct{ path, what string }{
-			{*jtracePath, "Perfetto journey track group; load in ui.perfetto.dev"},
-			{*jlogPath, "canonical JSONL span log"},
-			{*alertsPath, "alert timeline"},
-		} {
-			if pair.path != "" {
-				fmt.Fprintf(stdout, "wrote %s (%s)\n", pair.path, pair.what)
-			}
-		}
-		return 0
+		return writeExports(stdout, stderr, "-journey",
+			[]export{
+				{*jtracePath, "(Perfetto journey track group; load in ui.perfetto.dev)"},
+				{*jlogPath, "(canonical JSONL span log)"},
+				{*alertsPath, "(alert timeline)"},
+			},
+			func(ws []io.Writer) error { return fastiov.WriteJourneyExports(cfg, ws[0], ws[1], ws[2]) })
 	}
-	if *contention {
-		*experiment = "contention"
-	}
-	if *fleetRun {
-		*experiment = "fleet"
-	}
-	// -serve routes the shared -policy and -hosts flags to the admission
-	// control plane rather than the fleet placement layer; an explicit
-	// -experiment serving routes them the same way.
+
+	// The serving, availability and slowatch experiments route the shared
+	// -policy flag to the admission control plane rather than the fleet
+	// placement layer.
 	servePolicy := ""
-	if *serveRun {
-		*experiment = "serving"
-	}
-	if *availRun {
-		*experiment = "availability"
-	}
-	if *slowatch {
-		*experiment = "slowatch"
-	}
 	if *experiment == "serving" || *experiment == "availability" || *experiment == "slowatch" {
 		servePolicy = *policy
 		*policy = ""
@@ -364,6 +343,49 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	if failed > 0 {
 		fmt.Fprintf(stderr, "fastiov-bench: %d of %d experiments failed\n", failed, len(ids))
 		return 1
+	}
+	return 0
+}
+
+// export is one file a standalone export mode writes: the path its flag
+// names (empty = not requested) and the note reported once it is written.
+type export struct{ path, note string }
+
+// writeExports creates every requested file, hands the open files to write
+// in order (nil for files not requested), closes them, and reports each
+// one written. A failure is diagnosed under the mode's flag and returns
+// exit code 1.
+func writeExports(stdout, stderr io.Writer, flag string, files []export, write func([]io.Writer) error) int {
+	ws := make([]io.Writer, len(files))
+	var opened []*os.File
+	var err error
+	for i, f := range files {
+		if f.path == "" {
+			continue
+		}
+		var fh *os.File
+		if fh, err = os.Create(f.path); err != nil {
+			break
+		}
+		opened = append(opened, fh)
+		ws[i] = fh
+	}
+	if err == nil {
+		err = write(ws)
+	}
+	for _, fh := range opened {
+		if cerr := fh.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		fmt.Fprintf(stderr, "fastiov-bench: %s: %v\n", flag, err)
+		return 1
+	}
+	for _, f := range files {
+		if f.path != "" {
+			fmt.Fprintf(stdout, "wrote %s %s\n", f.path, f.note)
+		}
 	}
 	return 0
 }

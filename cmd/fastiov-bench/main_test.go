@@ -112,7 +112,7 @@ func TestGoldenChaosCSV(t *testing.T) {
 // critical-path decomposition text, which must name the VFIO devset global
 // mutex as vanilla's dominant blocker.
 func TestGoldenContentionText(t *testing.T) {
-	golden(t, "contention_n20.txt", []string{"-contention", "-n", "20"})
+	golden(t, "contention_n20.txt", []string{"-experiment", "contention", "-n", "20"})
 }
 
 func TestGoldenContentionCSV(t *testing.T) {
@@ -301,5 +301,165 @@ func TestWorkersMatchSerial(t *testing.T) {
 	}
 	if s1, s2 := stripTimes(out1.String()), stripTimes(out2.String()); s1 != s2 {
 		t.Errorf("parallel output differs from serial:\n--- serial ---\n%s\n--- parallel ---\n%s", s1, s2)
+	}
+}
+
+// TestExportModeConflictsExit2 checks that the standalone export modes
+// refuse to share an invocation with each other or with an experiment run,
+// and that -baseline needs an export mode: each case is a usage error that
+// names the conflicting flags and creates no file.
+func TestExportModeConflictsExit2(t *testing.T) {
+	for _, c := range []struct {
+		argv []string
+		want []string
+	}{
+		{[]string{"-trace", "t.json", "-metrics", "m.om", "-journey-log", "j.jsonl"}, []string{"-trace", "-metrics", "-journey-log"}},
+		{[]string{"-metrics", "m.om", "-alerts", "a.txt"}, []string{"-metrics", "-alerts"}},
+		{[]string{"-dashboard", "-trace", "t.json"}, []string{"-dashboard", "-trace"}},
+		{[]string{"-trace", "t.json", "-experiment", "fig11"}, []string{"-experiment", "-trace"}},
+		{[]string{"-experiment", "all", "-metrics-csv", "m.csv"}, []string{"-experiment", "-metrics-csv"}},
+		{[]string{"-list", "-journey-trace", "j.json"}, []string{"-list", "-journey-trace"}},
+		{[]string{"-baseline", "bogus", "-experiment", "tab1"}, []string{"-baseline"}},
+		{[]string{"-baseline", "fastiov"}, []string{"-baseline"}},
+	} {
+		dir := t.TempDir()
+		argv := make([]string, len(c.argv))
+		for i, a := range c.argv {
+			if strings.Contains(a, ".") {
+				a = filepath.Join(dir, a)
+			}
+			argv[i] = a
+		}
+		var stdout, stderr bytes.Buffer
+		if code := run(argv, &stdout, &stderr); code != 2 {
+			t.Errorf("run(%v) = %d, want 2; stderr:\n%s", c.argv, code, stderr.String())
+			continue
+		}
+		for _, flag := range c.want {
+			if !strings.Contains(stderr.String(), flag) {
+				t.Errorf("run(%v): stderr does not name %s:\n%s", c.argv, flag, stderr.String())
+			}
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("run(%v) printed output:\n%s", c.argv, stdout.String())
+		}
+		if entries, _ := os.ReadDir(dir); len(entries) != 0 {
+			t.Errorf("run(%v) created %d files", c.argv, len(entries))
+		}
+	}
+}
+
+// definedFlags returns the names of the flags run's FlagSet defines, read
+// from its -h listing.
+func definedFlags(t *testing.T) map[string]bool {
+	t.Helper()
+	var stdout, stderr bytes.Buffer
+	run([]string{"-h"}, &stdout, &stderr)
+	names := map[string]bool{}
+	for _, line := range strings.Split(stderr.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, "  -"); ok {
+			names[strings.Fields(rest)[0]] = true
+		}
+	}
+	if len(names) == 0 {
+		t.Fatalf("no flags in -h output:\n%s", stderr.String())
+	}
+	return names
+}
+
+// documentedArgs returns the arguments that follow each fastiov-bench
+// command word (fastiov-bench, ./cmd/fastiov-bench, /tmp/fastiov-bench or
+// the race build /tmp/fastiov-bench-race) in text; a package path handed to
+// go build, test or vet is not a command word. An invocation runs to the
+// end of its line, after joining backslash continuations, or to an
+// unquoted |, >, <, ;, &, #, ( or backtick.
+func documentedArgs(text string) [][]string {
+	text = strings.ReplaceAll(text, "\\\n", " ")
+	var out [][]string
+	for _, line := range strings.Split(text, "\n") {
+		var before, args []string
+		inCmd := false
+		end := func() {
+			if inCmd {
+				out = append(out, args)
+			}
+			before, args, inCmd = nil, nil, false
+		}
+		var tok strings.Builder
+		quote := rune(0)
+		flush := func() {
+			if tok.Len() == 0 {
+				return
+			}
+			word := tok.String()
+			tok.Reset()
+			if inCmd {
+				args = append(args, word)
+				return
+			}
+			goTool := len(before) >= 2 && before[0] == "go" && before[1] != "run"
+			before = append(before, word)
+			if i := strings.LastIndex(word, "/"); i >= 0 {
+				word = word[i+1:]
+			}
+			if (word == "fastiov-bench" || word == "fastiov-bench-race") && !goTool {
+				inCmd = true
+			}
+		}
+		for _, r := range line {
+			switch {
+			case quote != 0:
+				if r == quote {
+					quote = 0
+				} else {
+					tok.WriteRune(r)
+				}
+			case r == '"' || r == '\'':
+				quote = r
+			case r == ' ' || r == '\t':
+				flush()
+			case strings.ContainsRune("|><;&#`(", r):
+				flush()
+				end()
+			default:
+				tok.WriteRune(r)
+			}
+		}
+		flush()
+		end()
+	}
+	return out
+}
+
+// TestDocumentedFlagsExist fails on any -flag that the docs, the CI
+// workflow or the verify recipe pass to fastiov-bench but run does not
+// define, so a stale invocation fails here rather than for a reader.
+func TestDocumentedFlagsExist(t *testing.T) {
+	defined := definedFlags(t)
+	for _, doc := range []string{
+		"../../README.md",
+		"../../EXPERIMENTS.md",
+		"../../.github/workflows/ci.yml",
+		"../../.claude/skills/verify/SKILL.md",
+	} {
+		b, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		invocations := documentedArgs(string(b))
+		if len(invocations) == 0 {
+			t.Errorf("%s: no fastiov-bench invocations found", doc)
+		}
+		for _, args := range invocations {
+			for _, arg := range args {
+				if len(arg) < 2 || arg[0] != '-' || arg[1] < 'a' || arg[1] > 'z' {
+					continue
+				}
+				name, _, _ := strings.Cut(arg[1:], "=")
+				if !defined[name] {
+					t.Errorf("%s: fastiov-bench %s: flag -%s is not defined", doc, strings.Join(args, " "), name)
+				}
+			}
+		}
 	}
 }

@@ -13,26 +13,26 @@ import (
 // the arrival process, admission policies, fleet dispatch, or rendering
 // shows up as a byte diff.
 func TestGoldenServeText(t *testing.T) {
-	golden(t, "serve_h2_r24.txt", []string{"-serve", "-hosts", "2", "-rate", "24"})
+	golden(t, "serve_h2_r24.txt", []string{"-experiment", "serving", "-hosts", "2", "-rate", "24"})
 }
 
 func TestGoldenServeCSV(t *testing.T) {
-	golden(t, "serve_h2_r24.csv", []string{"-serve", "-hosts", "2", "-rate", "24", "-csv"})
+	golden(t, "serve_h2_r24.csv", []string{"-experiment", "serving", "-hosts", "2", "-rate", "24", "-csv"})
 }
 
 // The per-policy summary restricts the sweep to one admission policy via
-// -policy; the golden pins that with -serve the shared flag reaches the
-// admission layer, not fleet placement (only slo-aware rows).
+// -policy; the golden pins that with -experiment serving the shared flag
+// reaches the admission layer, not fleet placement (only slo-aware rows).
 func TestGoldenServePolicyText(t *testing.T) {
-	golden(t, "serve_h2_r24_slo.txt", []string{"-serve", "-hosts", "2", "-rate", "24", "-policy", "slo-aware"})
+	golden(t, "serve_h2_r24_slo.txt", []string{"-experiment", "serving", "-hosts", "2", "-rate", "24", "-policy", "slo-aware"})
 }
 
-// TestBadServePolicyExits1 checks -policy validation under -serve: an
-// unknown admission policy fails the experiment with a diagnosis naming
-// the bad value and the valid set.
+// TestBadServePolicyExits1 checks -policy validation under -experiment
+// serving: an unknown admission policy fails the experiment with a
+// diagnosis naming the bad value and the valid set.
 func TestBadServePolicyExits1(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-serve", "-hosts", "2", "-rate", "16", "-policy", "bogus"}, &stdout, &stderr); code != 1 {
+	if code := run([]string{"-experiment", "serving", "-hosts", "2", "-rate", "16", "-policy", "bogus"}, &stdout, &stderr); code != 1 {
 		t.Fatalf("exit code = %d, want 1, stderr:\n%s", code, stderr.String())
 	}
 	if !strings.Contains(stderr.String(), `unknown admission policy "bogus"`) {
@@ -44,7 +44,7 @@ func TestBadServePolicyExits1(t *testing.T) {
 // workload spec is a usage error diagnosed before any experiment runs.
 func TestBadTenantsSpecExits2(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-serve", "-tenants", "api:rate=oops"}, &stdout, &stderr); code != 2 {
+	if code := run([]string{"-experiment", "serving", "-tenants", "api:rate=oops"}, &stdout, &stderr); code != 2 {
 		t.Fatalf("exit code = %d, want 2, stderr:\n%s", code, stderr.String())
 	}
 	if !strings.Contains(stderr.String(), "-tenants") {
@@ -61,7 +61,7 @@ func TestBadTenantsSpecExits2(t *testing.T) {
 // tallies, or the fleet fingerprints beneath.
 func TestServeVerifyDeterminismCLI(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	argv := []string{"-serve", "-hosts", "2", "-n", "16", "-seeds", "2", "-verify-determinism"}
+	argv := []string{"-experiment", "serving", "-hosts", "2", "-n", "16", "-seeds", "2", "-verify-determinism"}
 	if code := run(argv, &stdout, &stderr); code != 0 {
 		t.Fatalf("run(%v) = %d, stderr:\n%s", argv, code, stderr.String())
 	}
@@ -74,10 +74,10 @@ func TestServeVerifyDeterminismCLI(t *testing.T) {
 // the same sweep at different offered loads renders differently.
 func TestServeRateFlagChangesOutput(t *testing.T) {
 	var low, high, errBuf bytes.Buffer
-	if code := run([]string{"-serve", "-hosts", "2", "-rate", "16"}, &low, &errBuf); code != 0 {
+	if code := run([]string{"-experiment", "serving", "-hosts", "2", "-rate", "16"}, &low, &errBuf); code != 0 {
 		t.Fatalf("rate=16: exit %d, stderr: %s", code, errBuf.String())
 	}
-	if code := run([]string{"-serve", "-hosts", "2", "-rate", "32"}, &high, &errBuf); code != 0 {
+	if code := run([]string{"-experiment", "serving", "-hosts", "2", "-rate", "32"}, &high, &errBuf); code != 0 {
 		t.Fatalf("rate=32: exit %d, stderr: %s", code, errBuf.String())
 	}
 	if stripTimes(low.String()) == stripTimes(high.String()) {
@@ -90,10 +90,10 @@ func TestServeRateFlagChangesOutput(t *testing.T) {
 // rows (default-workload only) disappear.
 func TestServeTenantsFlagChangesOutput(t *testing.T) {
 	var def, custom, errBuf bytes.Buffer
-	if code := run([]string{"-serve", "-hosts", "2", "-rate", "24"}, &def, &errBuf); code != 0 {
+	if code := run([]string{"-experiment", "serving", "-hosts", "2", "-rate", "24"}, &def, &errBuf); code != 0 {
 		t.Fatalf("default workload: exit %d, stderr: %s", code, errBuf.String())
 	}
-	if code := run([]string{"-serve", "-hosts", "2", "-rate", "24", "-tenants", "solo:rate=10"}, &custom, &errBuf); code != 0 {
+	if code := run([]string{"-experiment", "serving", "-hosts", "2", "-rate", "24", "-tenants", "solo:rate=10"}, &custom, &errBuf); code != 0 {
 		t.Fatalf("custom workload: exit %d, stderr: %s", code, errBuf.String())
 	}
 	if stripTimes(def.String()) == stripTimes(custom.String()) {

@@ -32,8 +32,8 @@ func TestRunBaselinePublicAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Totals.N() != 20 {
-		t.Errorf("n = %d", res.Totals.N())
+	if len(res.Totals.Values()) != 20 {
+		t.Errorf("n = %d", len(res.Totals.Values()))
 	}
 	if res.Totals.Mean() <= 0 {
 		t.Error("zero mean")
@@ -149,8 +149,8 @@ func TestFullConfigMatrixSmoke(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if res.Totals.N() != 10 {
-			t.Errorf("%s: completed %d", name, res.Totals.N())
+		if len(res.Totals.Values()) != 10 {
+			t.Errorf("%s: completed %d", name, len(res.Totals.Values()))
 		}
 		if res.Totals.Max() > 2*time.Minute {
 			t.Errorf("%s: implausible max %v", name, res.Totals.Max())

@@ -28,8 +28,8 @@ func mustRun(t *testing.T, name string, n int) *Result {
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
-	if res.Totals.N() != n {
-		t.Fatalf("%s: %d containers completed, want %d", name, res.Totals.N(), n)
+	if len(res.Totals.Values()) != n {
+		t.Fatalf("%s: %d containers completed, want %d", name, len(res.Totals.Values()), n)
 	}
 	return res
 }
@@ -346,9 +346,9 @@ func TestHostConservationUnderCrashChurn(t *testing.T) {
 				if res.Failed > 0 && res.Rollbacks == 0 {
 					t.Errorf("seed %d: %d failures but no recorded rollbacks", seed, res.Failed)
 				}
-				if res.Reclaim.N() != res.Started-res.Failed {
+				if len(res.Reclaim.Values()) != res.Started-res.Failed {
 					t.Errorf("seed %d: %d reclaim samples, want %d survivors",
-						seed, res.Reclaim.N(), res.Started-res.Failed)
+						seed, len(res.Reclaim.Values()), res.Started-res.Failed)
 				}
 			}
 		})
@@ -391,8 +391,8 @@ func TestPoissonArrivalExperiment(t *testing.T) {
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}
-	if res.Totals.N() != 30 {
-		t.Errorf("completed %d", res.Totals.N())
+	if len(res.Totals.Values()) != 30 {
+		t.Errorf("completed %d", len(res.Totals.Values()))
 	}
 }
 
@@ -497,7 +497,7 @@ func TestSeedSweepVarianceSmall(t *testing.T) {
 		}
 		sweep.Add(res.Totals.Mean())
 	}
-	spread := float64(sweep.Max()-sweep.Min()) / float64(sweep.Mean())
+	spread := float64(sweep.Max()-sweep.Percentile(0)) / float64(sweep.Mean())
 	if spread > 0.10 {
 		t.Errorf("seed spread %.1f%% exceeds 10%%: %v", 100*spread, sweep.Values())
 	}

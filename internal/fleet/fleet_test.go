@@ -48,8 +48,8 @@ func TestFleetSmoke(t *testing.T) {
 	if res.Started+res.Rejected != res.Requests {
 		t.Errorf("started %d + rejected %d != requests %d", res.Started, res.Rejected, res.Requests)
 	}
-	if res.Totals.N() != res.Started-res.Failed {
-		t.Errorf("%d totals, want %d survivors", res.Totals.N(), res.Started-res.Failed)
+	if len(res.Totals.Values()) != res.Started-res.Failed {
+		t.Errorf("%d totals, want %d survivors", len(res.Totals.Values()), res.Started-res.Failed)
 	}
 	placed := 0
 	for _, p := range res.Placements {
@@ -280,8 +280,8 @@ func TestFleetScopedHostCompletes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Totals.N() != 20 {
-		t.Fatalf("%d completions, want 20", res.Totals.N())
+	if len(res.Totals.Values()) != 20 {
+		t.Fatalf("%d completions, want 20", len(res.Totals.Values()))
 	}
 	if !res.Leaks.Clean() {
 		t.Errorf("dirty audit:\n%s", res.Leaks)

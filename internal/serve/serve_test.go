@@ -168,7 +168,7 @@ func TestServeQueueCapSheds(t *testing.T) {
 func TestServeHeadline(t *testing.T) {
 	fifo := mustServe(t, testConfig(PolicyFIFO, cluster.BaselineVanilla, 1))
 	slo := mustServe(t, testConfig(PolicySLOAware, cluster.BaselineVanilla, 1))
-	if fifo.Sojourns.N() == 0 || slo.Sojourns.N() == 0 {
+	if len(fifo.Sojourns.Values()) == 0 || len(slo.Sojourns.Values()) == 0 {
 		t.Fatal("headline runs completed nothing")
 	}
 	fifoP99 := fifo.Sojourns.P99()

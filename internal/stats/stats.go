@@ -37,9 +37,6 @@ func (s *Sample) Add(d time.Duration) {
 	s.sorted = false
 }
 
-// N returns the number of observations.
-func (s *Sample) N() int { return len(s.values) }
-
 // Values returns the observations in insertion order (not a copy).
 func (s *Sample) Values() []time.Duration { return s.values }
 
@@ -66,15 +63,6 @@ func (s *Sample) Mean() time.Duration {
 		total += float64(v)
 	}
 	return time.Duration(total / float64(len(s.values)))
-}
-
-// Min returns the smallest observation, or 0 for an empty sample.
-func (s *Sample) Min() time.Duration {
-	if len(s.values) == 0 {
-		return 0
-	}
-	s.ensureSorted()
-	return s.values[0]
 }
 
 // Max returns the largest observation, or 0 for an empty sample.
@@ -115,24 +103,9 @@ func (s *Sample) Percentile(p float64) time.Duration {
 
 // P50, P99 are the quantiles the paper reports; P999 is the tail quantile
 // the serving experiments add.
-func (s *Sample) P50() time.Duration { return s.Percentile(50) }
-func (s *Sample) P99() time.Duration { return s.Percentile(99) }
+func (s *Sample) P50() time.Duration  { return s.Percentile(50) }
+func (s *Sample) P99() time.Duration  { return s.Percentile(99) }
 func (s *Sample) P999() time.Duration { return s.Percentile(99.9) }
-
-// Stddev returns the population standard deviation.
-func (s *Sample) Stddev() time.Duration {
-	n := len(s.values)
-	if n == 0 {
-		return 0
-	}
-	mean := float64(s.Mean())
-	var ss float64
-	for _, v := range s.values {
-		d := float64(v) - mean
-		ss += d * d
-	}
-	return time.Duration(math.Sqrt(ss / float64(n)))
-}
 
 // Sum returns the total of all observations.
 func (s *Sample) Sum() time.Duration {
@@ -186,35 +159,6 @@ func OverheadRatio(base, new time.Duration) float64 {
 		return 0
 	}
 	return float64(new)/float64(base) - 1
-}
-
-// Summary is a one-line digest of a sample.
-type Summary struct {
-	N              int
-	Mean, P50, P99 time.Duration
-	Min, Max       time.Duration
-	Stddev         time.Duration
-}
-
-// Summarize computes the digest.
-func (s *Sample) Summarize() Summary {
-	return Summary{
-		N:      s.N(),
-		Mean:   s.Mean(),
-		P50:    s.P50(),
-		P99:    s.P99(),
-		Min:    s.Min(),
-		Max:    s.Max(),
-		Stddev: s.Stddev(),
-	}
-}
-
-// String renders the digest compactly.
-func (sum Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%v p50=%v p99=%v min=%v max=%v",
-		sum.N, sum.Mean.Round(time.Millisecond), sum.P50.Round(time.Millisecond),
-		sum.P99.Round(time.Millisecond), sum.Min.Round(time.Millisecond),
-		sum.Max.Round(time.Millisecond))
 }
 
 // Table renders aligned text tables for experiment output.

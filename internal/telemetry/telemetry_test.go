@@ -15,8 +15,8 @@ func TestTotals(t *testing.T) {
 	r.MarkStart(1, sec(1))
 	r.MarkEnd(1, sec(4))
 	totals := r.Totals()
-	if totals.N() != 2 {
-		t.Fatalf("n = %d", totals.N())
+	if len(totals.Values()) != 2 {
+		t.Fatalf("n = %d", len(totals.Values()))
 	}
 	if totals.Mean() != sec(2.5) {
 		t.Errorf("mean = %v, want 2.5s", totals.Mean())
@@ -28,7 +28,7 @@ func TestIncompleteContainerExcluded(t *testing.T) {
 	r.MarkStart(0, 0)
 	r.MarkEnd(0, sec(1))
 	r.MarkStart(1, 0) // never ends
-	if r.Totals().N() != 1 {
+	if len(r.Totals().Values()) != 1 {
 		t.Error("incomplete container should be excluded from totals")
 	}
 	if r.Total(1) != 0 {
@@ -93,8 +93,8 @@ func TestByStage(t *testing.T) {
 	// container 1 has no vfio span: must contribute 0, not be skipped
 	by := r.ByStage()
 	s := by[StageVFIODev]
-	if s.N() != 2 {
-		t.Fatalf("n = %d, want 2", s.N())
+	if len(s.Values()) != 2 {
+		t.Fatalf("n = %d, want 2", len(s.Values()))
 	}
 	if s.Mean() != sec(1) {
 		t.Errorf("mean = %v, want 1s", s.Mean())
