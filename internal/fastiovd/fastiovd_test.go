@@ -297,3 +297,181 @@ func TestFaultOnUntrackedPIDIsNoop(t *testing.T) {
 		t.Errorf("lazy-zeroed %d pages for untracked VM", r.mod.LazyZeroed)
 	}
 }
+
+// zeroTime is the bandwidth time one 2M page takes to zero at the default
+// 10 GiB/s stream rate.
+const zeroTime = time.Second * (2 << 20) / (10 << 30)
+
+// queued returns the scrubber's pending (pid, page) entries in FIFO order.
+func queued(m *Module) []scrubEntry { return m.scrubQueue[m.scrubHead:] }
+
+func TestPageTrackedByTwoPIDsCountsTwice(t *testing.T) {
+	// Teardown frees a VM's pages before its table is released, so a page
+	// re-registered by the next VM is briefly tracked under both PIDs.
+	r := newRig()
+	r.k.Go("t", func(p *sim.Proc) {
+		region, _ := r.mem.Allocate(p, 8*mb)
+		r.mod.Register(p, 1, region)
+		r.mod.Register(p, 2, region)
+	})
+	r.k.Run()
+	if got := r.mod.TrackedTotal(); got != 8 {
+		t.Errorf("TrackedTotal = %d, want 8 (4 pages under each of 2 pids)", got)
+	}
+	if r.mod.Tracked(1) != 4 || r.mod.Tracked(2) != 4 {
+		t.Errorf("Tracked = %d/%d, want 4/4", r.mod.Tracked(1), r.mod.Tracked(2))
+	}
+	r.mod.Release(1)
+	if got := r.mod.TrackedTotal(); got != 4 {
+		t.Errorf("TrackedTotal after releasing pid 1 = %d, want 4", got)
+	}
+}
+
+func TestCrashDaemonRebuildsQueueInPIDPageOrder(t *testing.T) {
+	r := newRig()
+	r.mod.StartScrubber(time.Hour, 1)
+	var want []scrubEntry
+	r.k.Go("t", func(p *sim.Proc) {
+		low, _ := r.mem.Allocate(p, 6*mb)
+		high, _ := r.mem.Allocate(p, 4*mb)
+		// Register out of order: pid 7 with the high pages first, then
+		// pid 3 with the low pages, then pid 7 again with the low pages.
+		r.mod.Register(p, 7, high)
+		r.mod.Register(p, 3, low)
+		r.mod.Register(p, 7, low)
+		add := func(pid int, reg *hostmem.Region) {
+			reg.Pages(func(pg int64) { want = append(want, scrubEntry{pid: pid, page: pg}) })
+		}
+		add(3, low)
+		add(7, low)
+		add(7, high)
+		r.mod.CrashDaemon(p)
+	})
+	r.k.Run()
+	got := queued(r.mod)
+	if len(got) != len(want) {
+		t.Fatalf("rebuilt queue has %d entries, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("queue[%d] = %+v, want %+v (full %v)", i, got[i], want[i], got)
+		}
+	}
+	if r.mod.ScrubberRestarts != 1 {
+		t.Errorf("restarts = %d, want 1", r.mod.ScrubberRestarts)
+	}
+}
+
+func TestFaultWaitsForInflightScrubClaim(t *testing.T) {
+	// The scrubber claims the page at 1ms; the guest faults it 50µs later
+	// and must wait for the zeroing to finish, not zero it again.
+	r := newRig()
+	r.mod.StartScrubber(time.Millisecond, 1)
+	var woke time.Duration
+	r.k.Go("guest", func(p *sim.Proc) {
+		region, _ := r.mem.Allocate(p, 2*mb)
+		vm := r.h.CreateVM()
+		vm.AddSlot("ram", 0, 2*mb, region)
+		r.mod.Register(p, vm.PID, region)
+		p.Sleep(1050*time.Microsecond - p.Now())
+		if err := vm.Touch(p, 0, false); err != nil {
+			t.Error(err)
+		}
+		woke = p.Now() - r.h.EPTFaultCost
+	})
+	r.k.Run()
+	if want := time.Millisecond + zeroTime; woke != want {
+		t.Errorf("fault resumed at %v, want %v (scrub claim completion)", woke, want)
+	}
+	if r.mod.ScrubZeroed != 1 || r.mod.LazyZeroed != 0 {
+		t.Errorf("scrub/lazy zeroed = %d/%d, want 1/0", r.mod.ScrubZeroed, r.mod.LazyZeroed)
+	}
+	if r.mem.Violations != 0 {
+		t.Errorf("violations = %d", r.mem.Violations)
+	}
+}
+
+func TestDaemonCrashMidZeroWakesWaitingFault(t *testing.T) {
+	// The scrubber claims page 0 at 1ms, the guest faults it at 1.05ms and
+	// waits, and the daemon crashes at 1.1ms mid-zero. The rollback
+	// re-tracks the page; the waiting fault must wake and zero it itself.
+	r := newRig()
+	r.mod.StartScrubber(time.Millisecond, 1)
+	done := false
+	var woke time.Duration
+	r.k.Go("guest", func(p *sim.Proc) {
+		region, _ := r.mem.Allocate(p, 4*mb)
+		vm := r.h.CreateVM()
+		vm.AddSlot("ram", 0, 4*mb, region)
+		r.mod.Register(p, vm.PID, region)
+		p.Sleep(1050*time.Microsecond - p.Now())
+		if err := vm.Touch(p, 0, false); err != nil {
+			t.Error(err)
+		}
+		woke = p.Now() - r.h.EPTFaultCost
+		done = true
+	})
+	r.k.GoAt(1100*time.Microsecond, "crash", func(p *sim.Proc) { r.mod.CrashDaemon(p) })
+	r.k.RunFor(10 * time.Second)
+	if !done {
+		t.Fatal("guest fault never woke after the daemon crashed mid-zero")
+	}
+	if want := 1100*time.Microsecond + zeroTime; woke != want {
+		t.Errorf("fault resumed at %v, want %v (woken by the crash, then zeroed)", woke, want)
+	}
+	if r.mod.LazyZeroed != 1 {
+		t.Errorf("lazy-zeroed %d pages, want 1 (the rolled-back claim)", r.mod.LazyZeroed)
+	}
+	if r.mem.Violations != 0 || r.mod.Corruptions != 0 {
+		t.Errorf("violations/corruptions = %d/%d", r.mem.Violations, r.mod.Corruptions)
+	}
+}
+
+func TestScrubClaimAllocatesNothing(t *testing.T) {
+	// A steady-state scrubber claim that no fault waits on must not
+	// allocate: no wait event, no table or queue growth.
+	r := newRig()
+	r.k.Go("t", func(p *sim.Proc) {
+		region, _ := r.mem.Allocate(p, 512*mb)
+		r.mod.Register(p, 1, region)
+		allocs := testing.AllocsPerRun(100, func() { r.mod.scrub(p, 1) })
+		if allocs != 0 {
+			t.Errorf("scrubber claim allocates %.1f times, want 0", allocs)
+		}
+	})
+	r.k.Run()
+	if r.mod.ScrubZeroed != 101 {
+		t.Errorf("scrub-zeroed %d pages, want 101", r.mod.ScrubZeroed)
+	}
+}
+
+// BenchmarkFastiovdClaim measures one steady-state scrubber claim: dequeue,
+// table lookup and delete, in-flight marker, and the zeroing of a dirty page
+// on an idle bandwidth stream, with no fault waiting. CI gates it at 0
+// allocs/op.
+func BenchmarkFastiovdClaim(b *testing.B) {
+	r := newRig()
+	r.k.Go("bench", func(p *sim.Proc) {
+		var region *hostmem.Region
+		refill := func() {
+			if region != nil {
+				r.mem.Free(p, region)
+			}
+			region, _ = r.mem.Allocate(p, 1<<30)
+			r.mod.Register(p, 1, region)
+		}
+		refill()
+		r.mod.scrub(p, 1) // warm the in-flight list
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if r.mod.ScrubQueueLen() == 0 {
+				b.StopTimer()
+				refill()
+				b.StartTimer()
+			}
+			r.mod.scrub(p, 1)
+		}
+	})
+	r.k.Run()
+}

@@ -164,6 +164,9 @@ type Fleet struct {
 	startupHist                              *metrics.Histogram
 	// onPlace is the Config placement observer (nil when unset).
 	onPlace func(at time.Duration, id int, st HostState, score float64, scored bool)
+	// stateBuf backs states(): Dispatch and FreeVFHeadroom each refill it
+	// and read it before any yield, so one buffer serves every proc.
+	stateBuf []HostState
 
 	// Measurement accumulators, maintained by Dispatch and drained by
 	// Finish: per-start latencies, surviving sandboxes per host (for the
@@ -303,11 +306,15 @@ func (f *Fleet) attachMetrics() {
 		[]float64{0.25, 0.5, 1, 2, 4, 8, 16, 32})
 }
 
-// States snapshots every host's scheduler view at the current instant.
-// Pure observation: live substrate reads plus watcher state, no simulated
-// time, no PRNG draws.
-func (f *Fleet) States() []HostState {
-	out := make([]HostState, len(f.Hosts))
+// states snapshots every host's scheduler view at the current instant into
+// the fleet's reusable buffer, which the caller must finish reading before
+// it yields. Pure observation: live substrate reads plus watcher state, no
+// simulated time, no PRNG draws.
+func (f *Fleet) states() []HostState {
+	if len(f.stateBuf) != len(f.Hosts) {
+		f.stateBuf = make([]HostState, len(f.Hosts))
+	}
+	out := f.stateBuf
 	for i, h := range f.Hosts {
 		out[i] = HostState{
 			Index:      i,
@@ -325,7 +332,7 @@ func (f *Fleet) States() []HostState {
 }
 
 // Inflight returns the number of container starts currently in progress
-// fleet-wide. Pure observation, like States.
+// fleet-wide. Pure observation.
 func (f *Fleet) Inflight() int { return f.totalInflight }
 
 // FreeVFHeadroom sums each host's positive placement headroom (free VFs
@@ -333,7 +340,7 @@ func (f *Fleet) Inflight() int { return f.totalInflight }
 // admission capacity in VF terms. Zero means no host is eligible right now.
 func (f *Fleet) FreeVFHeadroom() int {
 	total := 0
-	for _, st := range f.States() {
+	for _, st := range f.states() {
 		if st.Health != HealthUp {
 			// A crashed or recovering host contributes no admission capacity:
 			// this is how the serving layer's admission control sees the
@@ -553,7 +560,7 @@ func (r *Result) Fingerprint() []byte {
 // Finish). Dispatch is the hook the serving control plane drives; Run
 // places every request through it.
 func (f *Fleet) Dispatch(p *sim.Proc, id int) (host int, sb *cri.Sandbox, took time.Duration, err error) {
-	states := f.States()
+	states := f.states()
 	pick, perr := f.Sched.Place(states)
 	if perr != nil || pick < 0 || pick >= len(f.Hosts) {
 		return -1, nil, 0, perr

@@ -287,3 +287,20 @@ func TestFleetScopedHostCompletes(t *testing.T) {
 		t.Errorf("dirty audit:\n%s", res.Leaks)
 	}
 }
+
+// TestHostSnapshotsDoNotAllocate pins the placement path's host snapshot:
+// after the first fill, Dispatch's states and FreeVFHeadroom reuse one
+// fleet-owned buffer instead of allocating a slice per call.
+func TestHostSnapshotsDoNotAllocate(t *testing.T) {
+	f, err := New(smallCfg(cluster.BaselineFastIOV, PolicyLeastLoaded, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.states()
+	if n := testing.AllocsPerRun(10, func() { f.states(); f.FreeVFHeadroom() }); n != 0 {
+		t.Errorf("host snapshots allocate %.1f times per call, want 0", n)
+	}
+	if got, want := len(f.states()), len(f.Hosts); got != want {
+		t.Errorf("snapshot covers %d hosts, want %d", got, want)
+	}
+}

@@ -13,6 +13,7 @@ package hostmem
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"fastiov/internal/fault"
@@ -37,6 +38,13 @@ const (
 	// Written means the current owner (hypervisor, virtio backend, guest,
 	// or NIC DMA) has written live data to the page.
 	Written
+)
+
+// A page's metadata byte holds its ContentState in the bits of stateMask
+// and its allocation in allocatedBit.
+const (
+	stateMask    = 0x03
+	allocatedBit = 0x80
 )
 
 func (c ContentState) String() string {
@@ -137,9 +145,11 @@ type Allocator struct {
 	cfg   Config
 	pages int64
 
-	state     []ContentState
-	allocated []bool
-	pinned    []int32 // pin refcount per page
+	// meta packs each page's ContentState (low bits) with its allocated
+	// bit; pins is the per-page pin refcount. Three bytes per page in all:
+	// a 256 GB host of 2M pages carries 384 KB of page metadata.
+	meta []uint8
+	pins []uint16
 
 	freeHead  int64 // scan cursor: lowest possibly-free page
 	freeCnt   int64
@@ -184,16 +194,15 @@ func NewScoped(k *sim.Kernel, cfg Config, scope string) *Allocator {
 	}
 	pages := cfg.TotalBytes / cfg.PageSize
 	return &Allocator{
-		k:         k,
-		cfg:       cfg,
-		pages:     pages,
-		state:     make([]ContentState, pages),
-		allocated: make([]bool, pages),
-		pinned:    make([]int32, pages),
-		freeCnt:   pages,
-		dirtyCnt:  pages,
-		zoneLock:  sim.NewMutex(scope + ZoneLockName),
-		membw:     sim.NewResource(scope+MemBWName, cfg.ZeroStreams),
+		k:        k,
+		cfg:      cfg,
+		pages:    pages,
+		meta:     make([]uint8, pages),
+		pins:     make([]uint16, pages),
+		freeCnt:  pages,
+		dirtyCnt: pages,
+		zoneLock: sim.NewMutex(scope + ZoneLockName),
+		membw:    sim.NewResource(scope+MemBWName, cfg.ZeroStreams),
 	}
 }
 
@@ -209,9 +218,8 @@ func (a *Allocator) Clone(k *sim.Kernel) *Allocator {
 		k:           k,
 		cfg:         a.cfg,
 		pages:       a.pages,
-		state:       append([]ContentState(nil), a.state...),
-		allocated:   append([]bool(nil), a.allocated...),
-		pinned:      append([]int32(nil), a.pinned...),
+		meta:        append([]uint8(nil), a.meta...),
+		pins:        append([]uint16(nil), a.pins...),
 		freeHead:    a.freeHead,
 		freeCnt:     a.freeCnt,
 		dirtyCnt:    a.dirtyCnt,
@@ -227,8 +235,8 @@ func (a *Allocator) Clone(k *sim.Kernel) *Allocator {
 // cheap fingerprint for snapshot determinism checks.
 func (a *Allocator) StateDigest() uint64 {
 	h := uint64(14695981039346656037)
-	for _, s := range a.state {
-		h = (h ^ uint64(s)) * 1099511628211
+	for _, m := range a.meta {
+		h = (h ^ uint64(m&stateMask)) * 1099511628211
 	}
 	return h
 }
@@ -249,7 +257,7 @@ func (a *Allocator) DirtyPages() int64 { return a.dirtyCnt }
 // markState transitions a page's content state, maintaining the dirty-page
 // backlog counter.
 func (a *Allocator) markState(page int64, s ContentState) {
-	old := a.state[page]
+	old := a.State(page)
 	if old == s {
 		return
 	}
@@ -259,7 +267,7 @@ func (a *Allocator) markState(page int64, s ContentState) {
 	if s == Dirty {
 		a.dirtyCnt++
 	}
-	a.state[page] = s
+	a.meta[page] = a.meta[page]&allocatedBit | uint8(s)
 }
 
 // pagesFor rounds bytes up to whole pages.
@@ -285,7 +293,7 @@ func (a *Allocator) Allocate(p *sim.Proc, bytes int64) (*Region, error) {
 	i := a.freeHead
 	for remaining > 0 {
 		// find next free page
-		for a.allocated[i] {
+		for a.allocated(i) {
 			i++
 			if i >= a.pages {
 				i = 0
@@ -293,11 +301,11 @@ func (a *Allocator) Allocate(p *sim.Proc, bytes int64) (*Region, error) {
 		}
 		// extend the run
 		run := Run{Start: i, Count: 0}
-		for i < a.pages && !a.allocated[i] && remaining > 0 {
+		for i < a.pages && !a.allocated(i) && remaining > 0 {
 			if a.cfg.MaxRunPages > 0 && run.Count >= a.cfg.MaxRunPages {
 				break
 			}
-			a.allocated[i] = true
+			a.meta[i] |= allocatedBit
 			run.Count++
 			remaining--
 			i++
@@ -322,13 +330,13 @@ func (a *Allocator) Free(p *sim.Proc, region *Region) {
 	a.zoneLock.Lock(p)
 	defer a.zoneLock.Unlock(p)
 	region.Pages(func(pg int64) {
-		if !a.allocated[pg] {
+		if !a.allocated(pg) {
 			panic(fmt.Sprintf("hostmem: double free of page %d", pg))
 		}
-		if a.pinned[pg] > 0 {
+		if a.pins[pg] > 0 {
 			panic(fmt.Sprintf("hostmem: freeing pinned page %d", pg))
 		}
-		a.allocated[pg] = false
+		a.meta[pg] &^= allocatedBit
 		a.markState(pg, Dirty)
 		a.freeCnt++
 		if pg < a.freeHead {
@@ -340,7 +348,7 @@ func (a *Allocator) Free(p *sim.Proc, region *Region) {
 // ZeroPage clears one page if it is still dirty, charging bandwidth time.
 // Already-clean pages are skipped at zero cost (the HawkEye observation).
 func (a *Allocator) ZeroPage(p *sim.Proc, page int64) {
-	if a.state[page] != Dirty {
+	if a.State(page) != Dirty {
 		return
 	}
 	d := a.Faults.Inflate(fault.SiteMemBW, time.Duration(int64(time.Second)*a.cfg.PageSize/a.cfg.ZeroBytesPerSec))
@@ -357,12 +365,12 @@ func (a *Allocator) ZeroRegion(p *sim.Proc, region *Region) {
 		i := run.Start
 		end := run.Start + run.Count
 		for i < end {
-			if a.state[i] != Dirty {
+			if a.State(i) != Dirty {
 				i++
 				continue
 			}
 			j := i
-			for j < end && a.state[j] == Dirty {
+			for j < end && a.State(j) == Dirty {
 				j++
 			}
 			n := j - i
@@ -382,10 +390,13 @@ func (a *Allocator) ZeroRegion(p *sim.Proc, region *Region) {
 func (a *Allocator) Pin(p *sim.Proc, region *Region) {
 	n := region.PageCount()
 	region.Pages(func(pg int64) {
-		if a.pinned[pg] == 0 {
+		switch a.pins[pg] {
+		case 0:
 			a.pinnedCnt++
+		case math.MaxUint16:
+			panic(fmt.Sprintf("hostmem: pin refcount overflow on page %d", pg))
 		}
-		a.pinned[pg]++
+		a.pins[pg]++
 	})
 	if d := time.Duration(n) * a.cfg.PinCostPerPage; d > 0 {
 		p.Sleep(d)
@@ -395,18 +406,18 @@ func (a *Allocator) Pin(p *sim.Proc, region *Region) {
 // Unpin decrements pin refcounts.
 func (a *Allocator) Unpin(p *sim.Proc, region *Region) {
 	region.Pages(func(pg int64) {
-		if a.pinned[pg] <= 0 {
+		if a.pins[pg] == 0 {
 			panic(fmt.Sprintf("hostmem: unpin of unpinned page %d", pg))
 		}
-		a.pinned[pg]--
-		if a.pinned[pg] == 0 {
+		a.pins[pg]--
+		if a.pins[pg] == 0 {
 			a.pinnedCnt--
 		}
 	})
 }
 
 // Pinned reports whether a page is pinned.
-func (a *Allocator) Pinned(page int64) bool { return a.pinned[page] > 0 }
+func (a *Allocator) Pinned(page int64) bool { return a.pins[page] > 0 }
 
 // PinnedPages returns the number of pages with a live pin refcount — a
 // conservation input for host-wide leak audits and an O(1) gauge for the
@@ -414,7 +425,10 @@ func (a *Allocator) Pinned(page int64) bool { return a.pinned[page] > 0 }
 func (a *Allocator) PinnedPages() int64 { return a.pinnedCnt }
 
 // State returns a page's content state.
-func (a *Allocator) State(page int64) ContentState { return a.state[page] }
+func (a *Allocator) State(page int64) ContentState { return ContentState(a.meta[page] & stateMask) }
+
+// allocated reports whether a page is owned (not on the free list).
+func (a *Allocator) allocated(page int64) bool { return a.meta[page]&allocatedBit != 0 }
 
 // WriteData marks a page as holding live data written by its current owner
 // (hypervisor setup, virtio backend, guest store, NIC DMA). Writing to a
@@ -429,7 +443,7 @@ func (a *Allocator) WriteData(page int64) { a.markState(page, Written) }
 // Reading residual data from a previous tenant is a containment failure and
 // increments Violations.
 func (a *Allocator) GuestRead(page int64) {
-	if a.state[page] == Dirty {
+	if a.State(page) == Dirty {
 		a.Violations++
 	}
 }
@@ -447,7 +461,7 @@ func (a *Allocator) PreZero(fraction float64) {
 	}
 	target := int64(float64(a.freeCnt) * fraction)
 	for i := int64(0); i < a.pages && target > 0; i++ {
-		if !a.allocated[i] && a.state[i] == Dirty {
+		if !a.allocated(i) && a.State(i) == Dirty {
 			a.markState(i, Zeroed)
 			target--
 		}

@@ -196,6 +196,58 @@ func TestUnpinUnpinnedPanics(t *testing.T) {
 	})
 }
 
+func TestPinOverflowPanics(t *testing.T) {
+	cfg := testConfig()
+	cfg.PinCostPerPage = 0
+	pinned := 0
+	defer func() {
+		if recover() == nil {
+			t.Fatal("want panic on pin refcount overflow")
+		}
+		if pinned != 1<<16-1 {
+			t.Errorf("panicked after %d pins, want %d", pinned, 1<<16-1)
+		}
+	}()
+	run(t, cfg, func(p *sim.Proc, a *Allocator) {
+		r, _ := a.Allocate(p, 2<<20)
+		for {
+			a.Pin(p, r)
+			pinned++
+		}
+	})
+}
+
+func TestStateDigestFoldsContentStatesOnly(t *testing.T) {
+	// Snapshot digests hash each page's content state and nothing else:
+	// allocation and pinning leave the digest alone.
+	fold := func(a *Allocator) uint64 {
+		h := uint64(14695981039346656037)
+		for pg := int64(0); pg < a.TotalPages(); pg++ {
+			h = (h ^ uint64(a.State(pg))) * 1099511628211
+		}
+		return h
+	}
+	run(t, testConfig(), func(p *sim.Proc, a *Allocator) {
+		fresh := a.StateDigest()
+		r, _ := a.Allocate(p, 8<<20)
+		a.Pin(p, r)
+		if a.StateDigest() != fresh {
+			t.Error("allocating and pinning moved the digest")
+		}
+		a.ZeroPage(p, r.Runs[0].Start)
+		a.WriteData(r.Runs[0].Start + 1)
+		if a.StateDigest() == fresh {
+			t.Error("content-state changes left the digest unchanged")
+		}
+		if got, want := a.StateDigest(), fold(a); got != want {
+			t.Errorf("digest %x, want FNV-1a of the content states %x", got, want)
+		}
+		if got, want := a.Clone(sim.NewKernel(1)).StateDigest(), a.StateDigest(); got != want {
+			t.Errorf("clone digest %x, want %x", got, want)
+		}
+	})
+}
+
 func TestGuestReadOfDirtyPageIsViolation(t *testing.T) {
 	a := run(t, testConfig(), func(p *sim.Proc, a *Allocator) {
 		r, _ := a.Allocate(p, 2<<20)

@@ -135,3 +135,30 @@ func TestAbortSuppressesProbe(t *testing.T) {
 		t.Fatalf("%d probe events after the cutoff (last at %v); abort must suppress emission", afterCut, last)
 	}
 }
+
+// TestAbortingOnlyDuringPhaseUnwind pins what deferred cleanup sees: a proc
+// killed mid-run unwinds with Aborting false, a daemon reaped at the end of
+// a Run phase with Aborting true.
+func TestAbortingOnlyDuringPhaseUnwind(t *testing.T) {
+	k := NewKernel(1)
+	var killed, reaped []bool
+	victim := k.Go("victim", func(p *Proc) {
+		defer func() { killed = append(killed, k.Aborting()) }()
+		p.Sleep(time.Hour)
+	})
+	k.GoDaemon("daemon", func(p *Proc) {
+		defer func() { reaped = append(reaped, k.Aborting()) }()
+		p.Sleep(time.Hour)
+	})
+	k.Go("killer", func(p *Proc) {
+		p.Sleep(time.Millisecond)
+		k.Kill(victim)
+	})
+	k.Run()
+	if len(killed) != 1 || killed[0] {
+		t.Errorf("killed proc's cleanup saw Aborting %v, want [false]", killed)
+	}
+	if len(reaped) != 1 || !reaped[0] {
+		t.Errorf("reaped daemon's cleanup saw Aborting %v, want [true]", reaped)
+	}
+}

@@ -91,6 +91,13 @@ func (k *Kernel) Now() Duration { return k.now }
 // Rand returns the kernel's deterministic PRNG.
 func (k *Kernel) Rand() *Rand { return k.rng }
 
+// Aborting reports whether the kernel has begun unwinding the procs left at
+// the end of the current (or last) Run phase. Deferred cleanup that runs during that unwind must not wake
+// other procs: they are being unwound too, and a wakeup would only leave a
+// stale event behind. (Kill does not set it: a killed proc's cleanup runs
+// while the simulation goes on.)
+func (k *Kernel) Aborting() bool { return k.aborted }
+
 // Clock returns the internal scheduling cursor (virtual time and event
 // sequence counter). Snapshot/restore machinery uses it to verify that a
 // restored host reproduces the boot-time kernel state exactly.
