@@ -16,7 +16,7 @@
 //	fastiov-bench -experiment serving -rate 64 -policy slo-aware
 //	fastiov-bench -experiment serving -tenants "api:rate=40;batch:rate=20,prio=low"
 //	fastiov-bench -experiment slowatch
-//	fastiov-bench -experiment serving -journeys -verify-determinism
+//	fastiov-bench -experiment serving -observe -verify-determinism
 //	fastiov-bench -trace out.json -n 50 -baseline fastiov
 //	fastiov-bench -metrics m.om -metrics-csv m.csv -dashboard -n 50
 //	fastiov-bench -journey-trace j.json -journey-log j.jsonl -alerts alerts.txt \
@@ -101,8 +101,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		metricsOut = fs.String("metrics", "", "write an OpenMetrics snapshot of one metered startup run to this file and exit")
 		metricsCSV = fs.String("metrics-csv", "", "write the sampled per-metric time series of one metered startup run as CSV to this file and exit")
 		dashboard  = fs.Bool("dashboard", false, "print an ASCII host dashboard of one metered startup run and exit")
-		snapshots  = fs.Bool("snapshots", true, "cache boot-prefix snapshots so scenarios sharing a boot clone it instead of re-simulating (results identical either way)")
-		journeys   = fs.Bool("journeys", false, "record per-request journey traces on every serving run (pure observation; reports render identically)")
+		observe    = fs.Bool("observe", false, "switch every observer (trace, metrics, serving journeys) on for every run (pure observation; reports render identically)")
 		jtracePath = fs.String("journey-trace", "", "write a Chrome trace-event JSON of one journey-traced serving run to this file and exit (load in ui.perfetto.dev)")
 		jlogPath   = fs.String("journey-log", "", "write the canonical JSONL span log of one journey-traced serving run to this file and exit")
 		alertsPath = fs.String("alerts", "", "write the alert engine's timeline of one journey-traced serving run to this file and exit")
@@ -254,11 +253,10 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		Seeds:             fastiov.SeedList(*seeds),
 		VerifyDeterminism: *verify,
 		FaultSpec:         *faults,
-		Journeys:          *journeys,
+		Observe:           *observe,
 		Fleet:             fastiov.FleetConfig{Hosts: *hosts, Policy: *policy},
 		Serve:             fastiov.ServeConfig{Hosts: *hosts, Policy: servePolicy, Tenants: *tenants, Rate: *rate},
 		Availability:      fastiov.AvailabilityConfig{MTBF: *mtbf},
-		DisableSnapshots:  !*snapshots,
 	})
 	entries := suite.Experiments()
 	if *list {

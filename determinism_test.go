@@ -215,29 +215,22 @@ func TestSuiteSharedCache(t *testing.T) {
 	}
 }
 
-// runTracedAt is runAt with event-sourced tracing enabled suite-wide.
-func runTracedAt(t *testing.T, id string, seed uint64) []byte {
+// runConfigured executes one experiment on a fresh suite built from cfg
+// and returns the report's canonical encoding.
+func runConfigured(t *testing.T, id string, cfg fastiov.RunConfig) []byte {
 	t.Helper()
-	s := fastiov.NewSuite(fastiov.RunConfig{Workers: 1, Seeds: []uint64{seed}, Trace: true})
-	rep, err := s.Run(id, testConcurrency)
+	rep, err := fastiov.NewSuite(cfg).Run(id, testConcurrency)
 	if err != nil {
-		t.Fatalf("%s @seed=%d traced: %v", id, seed, err)
+		t.Fatalf("%s %+v: %v", id, cfg, err)
 	}
 	return rep.Encode()
 }
 
-// TestTracingIsTransparent is the observer-effect property: enabling
-// tracing must not change any experiment's rendered report. The probes
-// record passively — every registered experiment run with RunConfig.Trace
-// must render byte-identically to the untraced run at the same seed. (The
-// determinism *fingerprint* gains a trace digest, but the report tables,
-// text, and notes — everything Encode covers — must not move.) Because
-// every traced startup also verifies the critical-path identity in-run
-// (service + blocked + runnable == end-to-end total per container, see
-// trace.VerifyCriticalPaths), a passing traced run additionally proves the
-// decomposition sums exactly to the recorder's totals for every experiment
-// in the registry.
-func TestTracingIsTransparent(t *testing.T) {
+// assertObserversTransparent runs every registered experiment under cfg
+// twice, once with RunConfig.Observe off and once with it on, and fails
+// any experiment whose two reports differ by a single byte.
+func assertObserversTransparent(t *testing.T, cfg fastiov.RunConfig) {
+	t.Helper()
 	if testing.Short() {
 		t.Skip("full-registry property test")
 	}
@@ -245,20 +238,70 @@ func TestTracingIsTransparent(t *testing.T) {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
 			t.Parallel()
-			if e.ID == "contention" {
-				// The one experiment whose report is built FROM traces: it
-				// pins tracing on regardless of RunConfig, so transparency
-				// trivially holds; assert determinism instead.
-				a, b := runTracedAt(t, e.ID, 7), runTracedAt(t, e.ID, 7)
-				if !bytes.Equal(a, b) {
-					t.Fatalf("contention: two traced runs at seed 7 diverge")
-				}
-				return
+			plainCfg, observedCfg := cfg, cfg
+			plainCfg.Observe, observedCfg.Observe = false, true
+			plain := runConfigured(t, e.ID, plainCfg)
+			observed := runConfigured(t, e.ID, observedCfg)
+			if !bytes.Equal(plain, observed) {
+				t.Fatalf("%s: observers perturbed the report:\n--- plain ---\n%s\n--- observed ---\n%s", e.ID, plain, observed)
 			}
-			plain := runAt(t, e.ID, 7)
-			traced := runTracedAt(t, e.ID, 7)
-			if !bytes.Equal(plain, traced) {
-				t.Fatalf("%s: tracing perturbed the report:\n--- untraced ---\n%s\n--- traced ---\n%s", e.ID, plain, traced)
+		})
+	}
+}
+
+// TestObserversAreTransparent is the observer-effect property: switching
+// every observer on (RunConfig.Observe: tracing, metrics, journeys) must
+// not change any experiment's rendered report. The probes record
+// passively, the metrics sampler only sleeps, and the journey recorder
+// never calls back into the scheduler, so every registered experiment
+// renders byte-identically to the unobserved run at the same seed. (The
+// determinism fingerprint gains the observers' digests, but nothing Encode
+// covers may move.) Experiments that build their report from an observer
+// (contention, saturation, slowatch) pin it on either way, so for them the
+// property checks that the other observers stay transparent. Every traced
+// startup also verifies the critical-path identity in-run (service +
+// blocked + runnable == end-to-end total per container, see
+// trace.VerifyCriticalPaths), so a pass proves the decomposition for every
+// experiment in the registry.
+func TestObserversAreTransparent(t *testing.T) {
+	assertObserversTransparent(t, fastiov.RunConfig{Workers: 1, Seeds: []uint64{7}})
+}
+
+// TestTracingIsTransparent checks the observer-effect property on the
+// fault paths: under faultSpec every traced crash@<stage> abort, retry and
+// compensating rollback records spans and lock events, and none of that
+// may move a report byte relative to the same faulted run unobserved.
+func TestTracingIsTransparent(t *testing.T) {
+	assertObserversTransparent(t, fastiov.RunConfig{Workers: 1, Seeds: []uint64{7}, FaultSpec: faultSpec})
+}
+
+// TestMetricsAreTransparent checks the observer-effect property on the
+// pooled multi-seed path: two workers, two seeds, hosts cloned from cached
+// boot snapshots and reports built from per-seed aggregates. Observed boots
+// are snapshotted with their recorders attached (the observers join the
+// boot key), so a sampler or recorder that carries state across clones or
+// into an aggregate shows up as a report diff.
+func TestMetricsAreTransparent(t *testing.T) {
+	assertObserversTransparent(t, fastiov.RunConfig{Workers: 2, Seeds: []uint64{1, 2}})
+}
+
+// TestExperimentDeterminismWithMetrics extends the determinism property to
+// the observers' own output: with RunConfig.Observe and VerifyDeterminism
+// both on, the suite runs every simulation twice and compares fingerprints
+// that fold in the trace, metrics and span-log digests, so a pass extends
+// byte-level reproducibility down to every sampled value and recorded
+// event. The observed report must still equal the plain one.
+func TestExperimentDeterminismWithMetrics(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-registry property test")
+	}
+	for _, e := range fastiov.Experiments() {
+		e := e
+		t.Run(e.ID, func(t *testing.T) {
+			t.Parallel()
+			verified := runConfigured(t, e.ID, fastiov.RunConfig{Workers: 1, Seeds: []uint64{7}, Observe: true, VerifyDeterminism: true})
+			if plain := runAt(t, e.ID, 7); !bytes.Equal(plain, verified) {
+				t.Fatalf("%s: verified observed run differs from the plain run:\n--- plain ---\n%s\n--- verified ---\n%s", e.ID, plain, verified)
 			}
 		})
 	}
@@ -376,75 +419,6 @@ func TestMultiSeedChangesEstimates(t *testing.T) {
 	}
 	if bytes.Equal(rep1.Encode(), rep2.Encode()) {
 		t.Error("two-seed sweep produced the same fig11 report as a single seed")
-	}
-}
-
-// runMeteredAt is runAt with the simulated-time metrics subsystem enabled
-// suite-wide.
-func runMeteredAt(t *testing.T, id string, seed uint64) []byte {
-	t.Helper()
-	s := fastiov.NewSuite(fastiov.RunConfig{Workers: 1, Seeds: []uint64{seed}, Metrics: true})
-	rep, err := s.Run(id, testConcurrency)
-	if err != nil {
-		t.Fatalf("%s @seed=%d metered: %v", id, seed, err)
-	}
-	return rep.Encode()
-}
-
-// TestMetricsAreTransparent is the zero-perturbation property of the
-// metrics subsystem: enabling RunConfig.Metrics must not change any
-// experiment's rendered report. Instruments are read-only closures, the
-// sampler daemon only sleeps, and the probe observer never calls back into
-// the scheduler — so a metered run renders byte-identically to an
-// unmetered run at the same seed. (The determinism *fingerprint* gains a
-// metrics digest, but nothing Encode covers may move.)
-func TestMetricsAreTransparent(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-registry property test")
-	}
-	for _, e := range fastiov.Experiments() {
-		e := e
-		t.Run(e.ID, func(t *testing.T) {
-			t.Parallel()
-			if e.ID == "saturation" {
-				// The one experiment whose report is built FROM metrics: it
-				// pins metering on regardless of RunConfig, so transparency
-				// trivially holds; assert determinism instead.
-				a, b := runMeteredAt(t, e.ID, 7), runMeteredAt(t, e.ID, 7)
-				if !bytes.Equal(a, b) {
-					t.Fatalf("saturation: two metered runs at seed 7 diverge")
-				}
-				return
-			}
-			plain := runAt(t, e.ID, 7)
-			metered := runMeteredAt(t, e.ID, 7)
-			if !bytes.Equal(plain, metered) {
-				t.Fatalf("%s: metrics perturbed the report:\n--- unmetered ---\n%s\n--- metered ---\n%s", e.ID, plain, metered)
-			}
-		})
-	}
-}
-
-// TestExperimentDeterminismWithMetrics extends the determinism property to
-// the metrics subsystem: every registered experiment, run twice at the
-// same seed with metering on, must produce byte-identical reports — and
-// because the metered run fingerprint folds in the registry's canonical
-// exports, a pass extends byte-level reproducibility down to every sampled
-// value.
-func TestExperimentDeterminismWithMetrics(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-registry property test")
-	}
-	for _, e := range fastiov.Experiments() {
-		e := e
-		t.Run(e.ID, func(t *testing.T) {
-			t.Parallel()
-			a := runMeteredAt(t, e.ID, 7)
-			b := runMeteredAt(t, e.ID, 7)
-			if !bytes.Equal(a, b) {
-				t.Fatalf("%s: two metered runs at seed 7 diverge:\n--- run1 ---\n%s\n--- run2 ---\n%s", e.ID, a, b)
-			}
-		})
 	}
 }
 

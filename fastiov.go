@@ -148,29 +148,17 @@ type RunConfig struct {
 	// into every experiment the suite runs. Empty means fault-free; the
 	// chaos experiment pins its own per-row plans and ignores it.
 	FaultSpec string
-	// Trace enables event-sourced tracing on every simulation the suite
-	// runs: lock waits, holds, and wake-up causality are recorded, the
-	// critical-path identity (service + blocked + runnable == total) is
-	// verified per container, and the determinism fingerprint gains a
-	// trace digest. Reports render byte-identically with tracing on or
-	// off; the recorded streams surface through the contention experiment
-	// and WriteStartupTrace.
-	Trace bool
-	// Metrics enables the simulated-time metrics registry on every
-	// simulation the suite runs: all host instruments are sampled on a
-	// simulated-time cadence and the determinism fingerprint gains a
-	// metrics digest covering every sampled value. Reports render
-	// byte-identically with metrics on or off; the sealed registries
-	// surface through the saturation experiment and StartupMetrics.
-	Metrics bool
-	// Journeys enables per-request journey tracing on every serving
-	// simulation the suite runs: each arrival mints a root span threaded
-	// through admission, queue wait, dispatch, placement, reroutes, the
-	// startup telemetry stages, and pod lifetime, and the determinism
-	// fingerprint gains a span-log digest. Reports render byte-identically
-	// with journeys on or off; the recorded spans surface through
-	// WriteJourneyExports.
-	Journeys bool
+	// Observe switches every observer on for every simulation the suite
+	// runs: event-sourced tracing (lock waits, holds and wake-up causality,
+	// with the per-container critical-path identity verified in-run), the
+	// simulated-time metrics registry (every host instrument sampled on a
+	// simulated-time cadence), and per-request journey tracing on serving
+	// runs. The determinism fingerprint gains the trace, metrics and
+	// span-log digests. Reports render byte-identically with observers on
+	// or off; the recorded streams surface through the contention,
+	// saturation and slowatch experiments and through WriteStartupTrace,
+	// StartupMetrics and WriteJourneyExports.
+	Observe bool
 	// Fleet sizes the fleet experiment (the cluster-level placement sweep):
 	// zero values keep the paper-scale defaults.
 	Fleet FleetConfig
@@ -180,11 +168,6 @@ type RunConfig struct {
 	// Availability shapes the availability experiment (serving under host
 	// crash/recovery): zero values sweep the default MTBF/MTTR ladder.
 	Availability AvailabilityConfig
-	// DisableSnapshots turns off boot-prefix snapshot caching, forcing
-	// every scenario to re-simulate its host boot from scratch. Results
-	// are byte-identical either way (restores are verified transparent);
-	// the switch exists to re-measure the uncached reference.
-	DisableSnapshots bool
 }
 
 // FleetConfig parameterizes the fleet experiment.
@@ -286,13 +269,10 @@ type Suite struct {
 func NewSuite(cfg RunConfig) *Suite {
 	x := experiments.NewExec(cfg.Workers, cfg.Seeds)
 	x.SetVerify(cfg.VerifyDeterminism)
-	x.SetTrace(cfg.Trace)
-	x.SetMetrics(cfg.Metrics)
-	x.SetJourneys(cfg.Journeys)
+	x.SetObserve(cfg.Observe)
 	x.SetFleet(cfg.Fleet.Hosts, cfg.Fleet.Policy)
 	x.SetServe(cfg.Serve.Hosts, cfg.Serve.Policy, cfg.Serve.Tenants, cfg.Serve.Rate)
 	x.SetAvailability(cfg.Availability.MTBF)
-	x.SetSnapshots(!cfg.DisableSnapshots)
 	s := &Suite{cfg: cfg, x: x}
 	if cfg.FaultSpec != "" {
 		pl, err := fault.ParsePlan(cfg.FaultSpec)
@@ -348,11 +328,14 @@ func (s *Suite) VerifyDeterminism(id string, n int) error {
 	if err != nil {
 		return err
 	}
-	// The serial reference deliberately flips the snapshot setting: when
-	// the pooled run used cached boot snapshots, the serial re-run boots
-	// every host from scratch (and vice versa), so the byte comparison
-	// also pins snapshot transparency end-to-end.
-	serial := NewSuite(RunConfig{Workers: 1, Seeds: s.cfg.Seeds, FaultSpec: s.cfg.FaultSpec, Trace: s.cfg.Trace, Metrics: s.cfg.Metrics, Journeys: s.cfg.Journeys, Fleet: s.cfg.Fleet, Serve: s.cfg.Serve, Availability: s.cfg.Availability, DisableSnapshots: !s.cfg.DisableSnapshots})
+	// The serial reference boots every host from scratch while the pooled
+	// run clones cached boot snapshots, so the byte comparison also pins
+	// snapshot transparency end-to-end. The reference runs each simulation
+	// once; the pooled run already double-runs them under VerifyDeterminism.
+	cfg := s.cfg
+	cfg.Workers, cfg.VerifyDeterminism = 1, false
+	serial := NewSuite(cfg)
+	serial.x.SetSnapshots(false)
 	rep2, err := serial.Run(id, n)
 	if err != nil {
 		return fmt.Errorf("%s: serial re-run: %w", id, err)

@@ -121,14 +121,10 @@ type Options struct {
 
 	// Metrics attaches the simulated-time metrics registry: every substrate
 	// is instrumented and a sampler proc snapshots all instruments each
-	// MetricsCadence of simulated time (internal/metrics). Like tracing,
-	// metrics never perturb the simulation: virtual timings and rendered
-	// results are byte-identical with it on or off.
+	// metrics.DefaultCadence of simulated time (internal/metrics). Like
+	// tracing, metrics never perturb the simulation: virtual timings and
+	// rendered results are byte-identical with it on or off.
 	Metrics bool
-	// MetricsCadence overrides the sampling interval (<= 0 selects
-	// metrics.DefaultCadence). It shapes only the sampled series, never the
-	// simulation itself.
-	MetricsCadence time.Duration
 
 	// Faults attaches a deterministic fault-injection plan to every
 	// substrate of the host. A nil or all-zero plan builds no injector and
@@ -390,18 +386,37 @@ func NewHostOn(k *sim.Kernel, rng *sim.Rand, spec HostSpec, opts Options) (*Host
 		// kernel for the same reason the locks are.
 		spec.NIC.Name = opts.Scope + spec.NIC.Name
 	}
+	return boot(k, rng, spec, opts, nil)
+}
+
+// boot is the boot sequence NewHostOn and RestoreSnapshot share. With a
+// nil snap it builds the hardware substrates from spec: page arrays, PCI
+// topology, the NIC's VF pool and the VFIO driver, then pre-zeroes memory
+// and binds the VFs. With a snapshot it clones the substrates instead, and
+// pre-zeroing and binding are skipped because both effects live in the
+// cloned state. Every kernel-visible step runs in one order on both paths:
+// the tracer attaches before any simulated work, and the scrubber spawns
+// before wireStack's metrics sampler. So a restored host's clock, sequence
+// numbers and probe streams reproduce a fresh boot's.
+func boot(k *sim.Kernel, rng *sim.Rand, spec HostSpec, opts Options, snap *Snapshot) (*Host, error) {
 	h := &Host{
 		K:          k,
 		Spec:       spec,
 		Opts:       opts,
 		rng:        rng,
-		Mem:        hostmem.NewScoped(k, spec.Memory, opts.Scope),
-		Topo:       pci.NewTopology(),
 		CPU:        sim.NewResource(opts.Scope+"cpu", spec.Cores),
 		Rec:        telemetry.NewRecorder(),
 		RTNL:       sim.NewMutex(opts.Scope + "rtnl"),
 		CgroupLock: sim.NewMutex(opts.Scope + "cgroup"),
 		IrqLock:    sim.NewMutex(opts.Scope + "irq-routing"),
+	}
+	var remap map[*pci.Device]*pci.Device
+	if snap == nil {
+		h.Mem = hostmem.NewScoped(k, spec.Memory, opts.Scope)
+		h.Topo = pci.NewTopology()
+	} else {
+		h.Mem = snap.mem.Clone(k)
+		h.Topo, remap = snap.topo.Clone()
 	}
 	// The tracer attaches before any simulated work (including boot-time
 	// VF binding) so the stream covers the full execution.
@@ -420,16 +435,24 @@ func NewHostOn(k *sim.Kernel, rng *sim.Rand, spec HostSpec, opts Options) (*Host
 
 	h.MMU = iommu.New(k, h.Mem.PageSize())
 	h.MMU.Faults = h.Faults
-	h.NIC = nic.New(k, h.Topo, spec.NIC)
-	if err := h.NIC.CreateVFs(nil, spec.NumVFs, h.Topo); err != nil {
-		return nil, err
+	if snap == nil {
+		h.NIC = nic.New(k, h.Topo, spec.NIC)
+		if err := h.NIC.CreateVFs(nil, spec.NumVFs, h.Topo); err != nil {
+			return nil, err
+		}
+		mode := vfio.LockGlobal
+		if opts.LockDecomposition {
+			mode = vfio.LockParentChild
+		}
+		h.VFIO = vfio.New(k, h.Topo, h.Mem, h.MMU, mode, vfio.DefaultCosts())
+		h.VFIO.Scope = opts.Scope
+	} else {
+		h.NIC = snap.nic.Clone(k, remap)
+		var err error
+		if h.VFIO, err = snap.vfio.Clone(k, h.Topo, h.Mem, h.MMU, remap); err != nil {
+			return nil, err
+		}
 	}
-	mode := vfio.LockGlobal
-	if opts.LockDecomposition {
-		mode = vfio.LockParentChild
-	}
-	h.VFIO = vfio.New(k, h.Topo, h.Mem, h.MMU, mode, vfio.DefaultCosts())
-	h.VFIO.Scope = opts.Scope
 	h.VFIO.Faults = h.Faults
 	h.VFIO.Retry = pol
 	h.KVM = kvm.New(k, h.Mem)
@@ -441,22 +464,22 @@ func NewHostOn(k *sim.Kernel, rng *sim.Rand, spec HostSpec, opts Options) (*Host
 			h.Lazy.StartScrubber(2*time.Millisecond, 8)
 		}
 	}
-	if opts.PreZeroFraction > 0 {
-		h.Mem.PreZero(opts.PreZeroFraction)
-	}
-
-	// Bind the pre-created VFs (§5): the fixed CNIs bind vfio-pci exactly
-	// once at host boot; the flawed CNI leaves VFs unbound and rebinds on
-	// every container start.
-	if opts.Network == NetSRIOV && !opts.RebindFlaw {
-		for _, vf := range h.NIC.VFs() {
-			vf.Dev.BindBoot("vfio-pci")
-			if _, err := h.VFIO.Register(vf.Dev); err != nil {
-				return nil, err
+	if snap == nil {
+		if opts.PreZeroFraction > 0 {
+			h.Mem.PreZero(opts.PreZeroFraction)
+		}
+		// Bind the pre-created VFs (§5): the fixed CNIs bind vfio-pci
+		// exactly once at host boot; the flawed CNI leaves VFs unbound and
+		// rebinds on every container start.
+		if opts.Network == NetSRIOV && !opts.RebindFlaw {
+			for _, vf := range h.NIC.VFs() {
+				vf.Dev.BindBoot("vfio-pci")
+				if _, err := h.VFIO.Register(vf.Dev); err != nil {
+					return nil, err
+				}
 			}
 		}
 	}
-
 	if err := h.wireStack(pol); err != nil {
 		return nil, err
 	}
@@ -465,11 +488,9 @@ func NewHostOn(k *sim.Kernel, rng *sim.Rand, spec HostSpec, opts Options) (*Host
 
 // wireStack builds the software stack above the hardware substrates —
 // hypervisor environment, CNI plugin, container engine, metrics — and
-// takes the boot-baseline audit snapshot. It is shared by NewHostOn
-// (hardware built fresh) and RestoreSnapshot (hardware cloned from a
-// boot-prefix snapshot); the only kernel-visible action it performs is the
-// metrics sampler daemon spawn, so both callers produce identical kernel
-// clock/seq state and probe streams.
+// takes the boot-baseline audit snapshot. It is boot's last step, on the
+// built and the cloned hardware alike; the only kernel-visible action it
+// performs is the metrics sampler daemon spawn.
 func (h *Host) wireStack(pol fault.Policy) error {
 	opts := h.Opts
 	h.Env = hypervisor.NewEnv(h.K, h.Mem, h.KVM, h.VFIO, h.Lazy, h.CPU)
@@ -520,7 +541,7 @@ func (h *Host) wireStack(pol fault.Policy) error {
 	// None of this consumes simulated time or PRNG draws — a metrics-on
 	// run stays byte-identical to a metrics-off run.
 	if opts.Metrics {
-		h.Metrics = metrics.New(opts.MetricsCadence)
+		h.Metrics = metrics.New(metrics.DefaultCadence)
 		h.attachMetrics()
 		h.K.ChainProbe(h.Metrics.Observer())
 		h.Metrics.Start(h.K)

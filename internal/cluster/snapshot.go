@@ -17,19 +17,12 @@ package cluster
 
 import (
 	"fmt"
-	"time"
 
 	"fastiov/internal/audit"
-	"fastiov/internal/fastiovd"
-	"fastiov/internal/fault"
 	"fastiov/internal/hostmem"
-	"fastiov/internal/iommu"
-	"fastiov/internal/kvm"
 	"fastiov/internal/nic"
 	"fastiov/internal/pci"
 	"fastiov/internal/sim"
-	"fastiov/internal/telemetry"
-	"fastiov/internal/trace"
 	"fastiov/internal/vfio"
 )
 
@@ -95,65 +88,17 @@ func CaptureSnapshot(h *Host) (*Snapshot, error) {
 }
 
 // RestoreSnapshot builds a fresh host from a boot-prefix snapshot,
-// byte-identical to NewHost(snap.Spec, snap.Opts): the hardware state is
-// cloned instead of rebuilt, and the boot sequence's kernel-visible
-// actions (tracer attach, fault injector, daemon spawns, metrics) replay
-// in their original order on a fresh kernel. The restored host verifies
-// its kernel clock and audit baseline against the captured boot before
-// returning.
+// byte-identical to NewHost(snap.Spec, snap.Opts): it runs NewHost's boot
+// sequence on a fresh kernel, cloning the hardware state instead of
+// rebuilding it, so the kernel-visible actions (tracer attach, fault
+// injector, daemon spawns, metrics) replay in their original order. The
+// restored host verifies its kernel clock and audit baseline against the
+// captured boot before returning.
 func RestoreSnapshot(snap *Snapshot) (*Host, error) {
 	opts := snap.Opts
-	spec := snap.Spec // NIC name already Scope-prefixed at original boot
 	k := sim.NewKernel(opts.Seed)
-	h := &Host{
-		K:          k,
-		Spec:       spec,
-		Opts:       opts,
-		rng:        k.Rand(),
-		Mem:        snap.mem.Clone(k),
-		CPU:        sim.NewResource(opts.Scope+"cpu", spec.Cores),
-		Rec:        telemetry.NewRecorder(),
-		RTNL:       sim.NewMutex(opts.Scope + "rtnl"),
-		CgroupLock: sim.NewMutex(opts.Scope + "cgroup"),
-		IrqLock:    sim.NewMutex(opts.Scope + "irq-routing"),
-	}
-	topo, remap := snap.topo.Clone()
-	h.Topo = topo
-	// From here the order mirrors NewHostOn exactly: tracer before any
-	// daemon spawn, scrubber before metrics, so clock/seq/probe streams
-	// reproduce.
-	if opts.Trace {
-		h.Tracer = trace.Attach(k)
-	}
-	h.Faults = fault.NewInjector(opts.Seed, opts.Faults)
-	pol := opts.Retry
-	if pol.MaxAttempts == 0 {
-		pol = fault.DefaultPolicy()
-	}
-	h.Mem.Faults = h.Faults
-
-	h.MMU = iommu.New(k, h.Mem.PageSize())
-	h.MMU.Faults = h.Faults
-	h.NIC = snap.nic.Clone(k, remap)
-	var err error
-	h.VFIO, err = snap.vfio.Clone(k, topo, h.Mem, h.MMU, remap)
+	h, err := boot(k, k.Rand(), snap.Spec, opts, snap)
 	if err != nil {
-		return nil, err
-	}
-	h.VFIO.Faults = h.Faults
-	h.VFIO.Retry = pol
-	h.KVM = kvm.New(k, h.Mem)
-	if opts.LazyZeroing {
-		h.Lazy = fastiovd.New(k, h.Mem)
-		h.Lazy.Faults = h.Faults
-		h.KVM.Hook = h.Lazy.OnEPTFault
-		if !opts.DisableScrubber {
-			h.Lazy.StartScrubber(2*time.Millisecond, 8)
-		}
-	}
-	// No PreZero and no VF binding here: both effects live in the cloned
-	// page arrays and PCI/VFIO graphs.
-	if err := h.wireStack(pol); err != nil {
 		return nil, err
 	}
 	if now, seq, procSeq := k.Clock(); now != snap.now || seq != snap.seq || procSeq != snap.procSeq {

@@ -25,11 +25,10 @@ func devsetLock(name string) bool { return strings.Contains(name, vfio.DevsetLoc
 // runnable). Vanilla exposes the devset global mutex as the dominant
 // blocker; FastIOV's decomposed locking is shown for contrast.
 func (x *Exec) Contention(n int) (*Report, error) {
-	pin := true
 	baselines := []string{cluster.BaselineVanilla, cluster.BaselineFastIOV}
 	specs := make([]startupSpec, len(baselines))
 	for i, b := range baselines {
-		specs[i] = startupSpec{Baseline: b, N: n, observe: observe{Trace: &pin}}
+		specs[i] = startupSpec{Baseline: b, N: n, observe: observe{Trace: true}}
 	}
 	rs, err := runAll[*cluster.Result](x, specs)
 	if err != nil {

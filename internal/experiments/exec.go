@@ -28,21 +28,13 @@ type Exec struct {
 	// every spec that does not pin its own plan inherits it. The chaos
 	// experiment pins per-row plans and is therefore unaffected.
 	faults *fault.Plan
-	// trace enables event-sourced tracing on every spec that does not pin
-	// its own setting. Traced runs carry a trace on the result and verify
-	// the critical-path decomposition, but render identically to untraced
-	// runs; the contention experiment pins tracing on regardless.
-	trace bool
-	// metrics enables the simulated-time metrics registry on every spec
-	// that does not pin its own setting. Metered runs carry a sealed
-	// registry on the result but render identically to unmetered runs; the
-	// saturation experiment pins metrics on regardless.
-	metrics bool
-	// journeys enables per-request journey tracing on every serving spec
-	// that does not pin its own setting. Journey-traced runs carry a span
-	// recorder on the result but render identically to untraced runs; the
-	// slowatch experiment pins journeys (and alert rules) on regardless.
-	journeys bool
+	// observe switches every observer on for every spec: event-sourced
+	// tracing, the simulated-time metrics registry, and (on serving specs)
+	// per-request journeys. Observed runs carry the recordings on the result
+	// and fold their digests into the fingerprint, but render identically to
+	// unobserved runs. Specs that build their report from an observer
+	// (contention, saturation, slowatch) pin it on regardless.
+	observe bool
 	// fleetHosts overrides the fleet experiment's host count (<= 0 selects
 	// the paper-scale default); fleetPolicy restricts it to one placement
 	// policy ("" sweeps all of them).
@@ -100,8 +92,8 @@ func (x *Exec) SetVerify(v bool) { x.pool.SetVerify(v) }
 
 // SetSnapshots toggles boot-prefix snapshot caching (on by default).
 // Results are byte-identical either way; turning it off forces every
-// scenario to re-simulate host boot, which the transparency regression
-// tests use as the reference.
+// scenario to re-simulate host boot, which the public suite's determinism
+// verification and the transparency regression tests use as the reference.
 func (x *Exec) SetSnapshots(v bool) { x.snapshots = v }
 
 // SetFaults installs an executor-wide fault plan inherited by every spec
@@ -109,20 +101,10 @@ func (x *Exec) SetSnapshots(v bool) { x.snapshots = v }
 // faulted and fault-free runs of the same scenario never share results.
 func (x *Exec) SetFaults(pl *fault.Plan) { x.faults = pl }
 
-// SetTrace enables event-sourced tracing for every spec that does not pin
-// its own setting. Tracing participates in cache keys, so traced and
-// untraced runs of the same scenario never share results.
-func (x *Exec) SetTrace(v bool) { x.trace = v }
-
-// SetMetrics enables the simulated-time metrics registry for every spec
-// that does not pin its own setting. Metrics participate in cache keys, so
-// metered and unmetered runs of the same scenario never share results.
-func (x *Exec) SetMetrics(v bool) { x.metrics = v }
-
-// SetJourneys enables per-request journey tracing for every serving spec
-// that does not pin its own setting. Journeys participate in cache keys, so
-// traced and untraced runs of the same scenario never share results.
-func (x *Exec) SetJourneys(v bool) { x.journeys = v }
+// SetObserve switches every observer on for every spec (see Exec.observe).
+// Observers participate in cache keys, so observed and unobserved runs of
+// the same scenario never share results.
+func (x *Exec) SetObserve(v bool) { x.observe = v }
 
 // SetFleet sizes the fleet experiment: hosts overrides the host count
 // (<= 0 keeps the paper-scale default) and policy restricts the sweep to
@@ -225,68 +207,54 @@ func runAll[R any, S scenario[R]](x *Exec, specs []S) ([]multi[R], error) {
 }
 
 // observe is a spec's observer pins: the fault plan, the trace, metrics and
-// journey recorders, and serving's alert rules. A nil pin inherits the
-// executor-wide setting (resolve). The resolved observers join the cache
-// key (writeKey), so observed and unobserved runs of one scenario never
-// share results.
+// journey recorders, and serving's alert rules. The executor-wide fault
+// plan fills an unpinned plan and the executor-wide observe switch turns
+// every recorder on (resolve). The resolved observers join the cache key
+// (writeKey), so observed and unobserved runs of one scenario never share
+// results.
 type observe struct {
 	// Faults pins the fault plan. A non-nil empty plan pins "fault-free"
 	// (the chaos p=0 row), which canonicalizes to the same cache key as an
 	// unfaulted spec.
 	Faults *fault.Plan
-	// Trace pins event-sourced tracing (the contention experiment pins it
-	// on). Traced runs verify the critical-path decomposition but render
+	// Trace forces event-sourced tracing on (the contention experiment pins
+	// it). Traced runs verify the critical-path decomposition but render
 	// identically to untraced runs.
-	Trace *bool
-	// Metrics pins the simulated-time metrics registry (the saturation
-	// experiment pins it on).
-	Metrics *bool
-	// Journeys pins per-request journey tracing. Only serving specs record
-	// journeys, so only they inherit the executor-wide switch.
-	Journeys *bool
+	Trace bool
+	// Metrics forces the simulated-time metrics registry on (the saturation
+	// experiment pins it).
+	Metrics bool
+	// Journeys forces per-request journey tracing on. Only serving specs
+	// record journeys.
+	Journeys bool
 	// Alerts is an alert-rule spec the simulated-time engine evaluates
 	// during a serving run ("" runs no engine). Alert engines read the
 	// metrics registry, so rules force Metrics on.
 	Alerts string
 }
 
-// resolve replaces every nil pin with the executor-wide setting.
+// resolve applies the executor-wide fault plan and observe switch.
 func (o *observe) resolve(x *Exec) {
 	if o.Faults == nil {
 		o.Faults = x.faults
 	}
-	o.Trace = inherit(o.Trace, x.trace)
-	o.Metrics = inherit(o.Metrics, x.metrics)
-	if o.Alerts != "" {
-		on := true
-		o.Metrics = &on
-	}
+	o.Trace = o.Trace || x.observe
+	o.Metrics = o.Metrics || x.observe || o.Alerts != ""
+	o.Journeys = o.Journeys || x.observe
 }
-
-// inherit returns pin, or a pin holding def when pin is nil.
-func inherit(pin *bool, def bool) *bool {
-	if pin == nil {
-		return &def
-	}
-	return pin
-}
-
-func (o observe) traced() bool    { return o.Trace != nil && *o.Trace }
-func (o observe) metered() bool   { return o.Metrics != nil && *o.Metrics }
-func (o observe) journeyed() bool { return o.Journeys != nil && *o.Journeys }
 
 // writeKey appends the resolved observers' cache-key tokens to b.
 func (o observe) writeKey(b *strings.Builder) {
 	if !o.Faults.Empty() {
 		fmt.Fprintf(b, " faults=%s", o.Faults)
 	}
-	if o.traced() {
+	if o.Trace {
 		b.WriteString(" trace")
 	}
-	if o.metered() {
+	if o.Metrics {
 		b.WriteString(" metrics")
 	}
-	if o.journeyed() {
+	if o.Journeys {
 		b.WriteString(" journeys")
 	}
 	if o.Alerts != "" {
@@ -414,8 +382,8 @@ func (s startupSpec) run(x *Exec, seed uint64) (*cluster.Result, error) {
 		opts.Arrival = *s.Arrival
 	}
 	opts.Faults = s.Faults
-	opts.Trace = s.traced()
-	opts.Metrics = s.metered()
+	opts.Trace = s.Trace
+	opts.Metrics = s.Metrics
 	// Every harness run is audited: after measurement the surviving
 	// sandboxes are stopped and the host's conservation counters diffed
 	// against the boot baseline. The teardown phase runs after all
@@ -558,8 +526,8 @@ func (s serverlessSpec) run(x *Exec, seed uint64) (*stats.Sample, error) {
 		opts.DisableScrubber = true
 	}
 	opts.Faults = s.Faults
-	opts.Trace = s.traced()
-	opts.Metrics = s.metered()
+	opts.Trace = s.Trace
+	opts.Metrics = s.Metrics
 	// Harness serverless runs audit too: completed sandboxes are stopped
 	// after the sample is taken and the conservation counters checked (see
 	// startupSpec.run).

@@ -51,26 +51,34 @@ func (s fleetSpec) run(_ *Exec, seed uint64) (*fleet.Result, error) {
 		Requests:  s.Hosts * s.PerHost,
 		Seed:      seed,
 		Faults:    s.Faults,
-		Trace:     s.traced(),
-		Metrics:   s.metered(),
+		Trace:     s.Trace,
+		Metrics:   s.Metrics,
 		// Standing invariant, as for single-host harness runs: audit every
 		// fleet and fail loudly on any leak, per host or fleet-wide.
 		Audit: true,
 	})
+	label := fmt.Sprintf("%s/%s", s.Baseline, s.Policy)
 	if err != nil {
-		return nil, fmt.Errorf("%s/%s: %w", s.Baseline, s.Policy, err)
+		return nil, fmt.Errorf("%s: %w", label, err)
 	}
-	if !res.CleanPerHost() {
-		for i, rep := range res.PerHost {
-			if !rep.Clean() {
-				return nil, fmt.Errorf("%s/%s: host %d dirty leak audit:\n%s", s.Baseline, s.Policy, i, rep)
-			}
+	if err := leakErr(label, res); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// leakErr checks an audited fleet run's leak audits, each host's and then
+// the fleet-wide one, and names the first dirty report under label.
+func leakErr(label string, res *fleet.Result) error {
+	for i, rep := range res.PerHost {
+		if !rep.Clean() {
+			return fmt.Errorf("%s: host %d dirty leak audit:\n%s", label, i, rep)
 		}
 	}
 	if !res.Leaks.Clean() {
-		return nil, fmt.Errorf("%s/%s: fleet-wide dirty leak audit:\n%s", s.Baseline, s.Policy, res.Leaks)
+		return fmt.Errorf("%s: fleet-wide dirty leak audit:\n%s", label, res.Leaks)
 	}
-	return res, nil
+	return nil
 }
 
 // fingerprint covers placements, queue peaks, busy integrals, every

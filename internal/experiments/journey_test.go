@@ -1,11 +1,12 @@
 package experiments
 
-// Registry-level observer-transparency coverage for request-journey
-// tracing: enabling journeys on the executor must not change a single
-// rendered report byte, for every experiment in the registry. The journey
-// recorder and alert engine are pure observers — if attaching them
-// perturbs an admission decision, a placement, or a single timestamp, the
-// reports diverge and this test names the experiment.
+// Registry-level observer-transparency coverage at the executor: switching
+// every observer on (tracing, metrics, request journeys) must not change a
+// single rendered report byte, for every experiment in the registry, at a
+// reduced sweep. The journey recorder and alert engine are pure observers
+// like the tracer and sampler: if attaching them perturbs an admission
+// decision, a placement, or a single timestamp, the reports diverge and
+// this test names the experiment.
 
 import (
 	"strings"
@@ -17,15 +18,15 @@ import (
 // kernel-side ones as a reduced sweep.
 const journeyTransparencyN = 8
 
-func runRegistryReports(t *testing.T, journeys bool) map[string]string {
+func runRegistryReports(t *testing.T, observe bool) map[string]string {
 	t.Helper()
 	x := NewExec(2, []uint64{1, 2})
-	x.SetJourneys(journeys)
+	x.SetObserve(observe)
 	out := make(map[string]string)
 	for _, e := range Registry() {
 		rep, err := e.Run(x, journeyTransparencyN)
 		if err != nil {
-			t.Fatalf("%s (journeys=%v): %v", e.ID, journeys, err)
+			t.Fatalf("%s (observe=%v): %v", e.ID, observe, err)
 		}
 		out[e.ID] = rep.String()
 	}
@@ -40,7 +41,7 @@ func TestJourneyReportTransparency(t *testing.T) {
 	got := runRegistryReports(t, true)
 	for _, e := range Registry() {
 		if want[e.ID] != got[e.ID] {
-			t.Errorf("%s: journey-traced report differs from untraced:\n--- untraced\n%s\n--- journeyed\n%s",
+			t.Errorf("%s: observed report differs from plain:\n--- plain\n%s\n--- observed\n%s",
 				e.ID, want[e.ID], got[e.ID])
 		}
 	}

@@ -35,13 +35,12 @@ func (x *Exec) Saturation(n int) (*Report, error) {
 	if n <= 0 {
 		n = DefaultConcurrency
 	}
-	pin := true
 	concs := saturationSweep(n)
 	baselines := []string{cluster.BaselineVanilla, cluster.BaselineFastIOV}
 	var specs []startupSpec
 	for _, c := range concs {
 		for _, b := range baselines {
-			specs = append(specs, startupSpec{Baseline: b, N: c, observe: observe{Metrics: &pin}})
+			specs = append(specs, startupSpec{Baseline: b, N: c, observe: observe{Metrics: true}})
 		}
 	}
 	rs, err := runAll[*cluster.Result](x, specs)

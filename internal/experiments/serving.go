@@ -47,13 +47,6 @@ func (s serveSpec) params() string {
 	return b.String()
 }
 
-// resolve inherits the executor-wide observers. Serving is the one spec
-// kind that records journeys, so it alone inherits that switch too.
-func (s *serveSpec) resolve(x *Exec) {
-	s.Journeys = inherit(s.Journeys, x.journeys)
-	s.observe.resolve(x)
-}
-
 // run executes the spec at one seed: a full serving window over an audited
 // fleet, failing loudly on any leak — shed requests included.
 func (s serveSpec) run(_ *Exec, seed uint64) (*serve.Result, error) {
@@ -65,32 +58,24 @@ func (s serveSpec) run(_ *Exec, seed uint64) (*serve.Result, error) {
 		Rate:      s.Rate,
 		Seed:      seed,
 		Faults:    s.Faults,
-		Trace:     s.traced(),
-		Metrics:   s.metered(),
-		Journeys:  s.journeyed(),
+		Trace:     s.Trace,
+		Metrics:   s.Metrics,
+		Journeys:  s.Journeys,
 		AlertSpec: s.Alerts,
 		Audit:     true,
 	})
+	label := fmt.Sprintf("%s/%s rate=%g", s.Baseline, s.Policy, s.Rate)
 	if err != nil {
-		return nil, fmt.Errorf("%s/%s rate=%g: %w", s.Baseline, s.Policy, s.Rate, err)
+		return nil, fmt.Errorf("%s: %w", label, err)
 	}
 	// Standing invariant: request conservation at drain and clean leak
 	// audits, per host and fleet-wide, however much the policy shed.
 	if res.Arrived != res.Admitted+res.Shed() {
-		return nil, fmt.Errorf("%s/%s rate=%g: conservation broken: arrived %d != admitted %d + shed %d",
-			s.Baseline, s.Policy, s.Rate, res.Arrived, res.Admitted, res.Shed())
+		return nil, fmt.Errorf("%s: conservation broken: arrived %d != admitted %d + shed %d",
+			label, res.Arrived, res.Admitted, res.Shed())
 	}
-	if !res.Fleet.CleanPerHost() {
-		for i, rep := range res.Fleet.PerHost {
-			if !rep.Clean() {
-				return nil, fmt.Errorf("%s/%s rate=%g: host %d dirty leak audit:\n%s",
-					s.Baseline, s.Policy, s.Rate, i, rep)
-			}
-		}
-	}
-	if !res.Fleet.Leaks.Clean() {
-		return nil, fmt.Errorf("%s/%s rate=%g: fleet-wide dirty leak audit:\n%s",
-			s.Baseline, s.Policy, s.Rate, res.Fleet.Leaks)
+	if err := leakErr(label, res.Fleet); err != nil {
+		return nil, err
 	}
 	return res, nil
 }

@@ -106,7 +106,6 @@ func (x *Exec) Slowatch(n int) (*Report, error) {
 	}
 	baselines := []string{cluster.BaselineVanilla, cluster.BaselineFastIOV}
 
-	on := true
 	var specs []serveSpec
 	for _, sc := range scenarios {
 		for _, p := range policies {
@@ -114,7 +113,7 @@ func (x *Exec) Slowatch(n int) (*Report, error) {
 				sp := serveSpec{
 					Baseline: b, Policy: p, Hosts: hosts, Rate: rate,
 					Workload: sc.Workload,
-					observe:  observe{Metrics: &on, Journeys: &on, Alerts: DefaultSlowatchRules},
+					observe:  observe{Metrics: true, Journeys: true, Alerts: DefaultSlowatchRules},
 				}
 				if sc.Faults != "" {
 					pl, err := fault.ParsePlan(sc.Faults)

@@ -23,15 +23,14 @@ func transparencySpecs(t *testing.T) []startupSpec {
 	if err != nil {
 		t.Fatal(err)
 	}
-	on := true
 	return []startupSpec{
 		{Baseline: cluster.BaselineVanilla, N: 40},
 		// Same boot inputs as above, different wave: must share the cached
 		// boot yet produce its own (Poisson) arrival pattern.
 		{Baseline: cluster.BaselineVanilla, N: 25,
 			Arrival: &cluster.Arrival{Kind: cluster.ArrivalPoisson, RatePerSec: 200}},
-		{Baseline: cluster.BaselineFastIOV, N: 40, observe: observe{Trace: &on}},
-		{Baseline: cluster.BaselineFastIOV, N: 30, observe: observe{Metrics: &on}},
+		{Baseline: cluster.BaselineFastIOV, N: 40, observe: observe{Trace: true}},
+		{Baseline: cluster.BaselineFastIOV, N: 30, observe: observe{Metrics: true}},
 		{Baseline: cluster.BaselinePre50, N: 20, DisableScrubber: true},
 		{Baseline: cluster.BaselineFastIOV, N: 30, observe: observe{Faults: pl}},
 	}
@@ -91,8 +90,8 @@ func TestSnapshotCacheTransparency(t *testing.T) {
 	}
 }
 
-// TestSnapshotToggleRoundTrip pins the setter semantics used by the CLI's
-// -snapshots flag.
+// TestSnapshotToggleRoundTrip pins the setter semantics
+// Suite.VerifyDeterminism uses to boot its serial reference from scratch.
 func TestSnapshotToggleRoundTrip(t *testing.T) {
 	x := NewExec(1, nil)
 	if !x.snapshots {

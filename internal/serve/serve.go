@@ -147,9 +147,6 @@ type Config struct {
 	// simulated-time daemon against the run's metrics registry (requires
 	// Metrics). Empty disables alerting.
 	AlertSpec string
-	// AlertInterval overrides the engine's evaluation tick (<= 0 selects
-	// journey.DefaultEvalInterval).
-	AlertInterval time.Duration
 }
 
 // withDefaults normalizes optional fields.
@@ -473,7 +470,7 @@ func (s *Server) Run() *Result {
 	s.t0 = k.Now()
 
 	if s.alertRules != nil && s.reg != nil {
-		s.alerts = journey.NewEngine(s.alertRules, s.reg, s.Cfg.AlertInterval)
+		s.alerts = journey.NewEngine(s.alertRules, s.reg, journey.DefaultEvalInterval)
 		s.alerts.Start(k)
 	}
 
