@@ -36,8 +36,6 @@ var testAccessors = map[string]string{
 	"hostmem.Allocator.Pinned":    "read-only pin state; DMA unpin invariant tests",
 	"hostmem.New":                 "unscoped allocator for unit-test rigs; hosts build theirs with NewScoped",
 	"hypervisor.Layout.Total":     "read-only guest footprint; layout geometry tests",
-	"iommu.Domain.MappedPages":    "read-only mapping count; unmap invariant tests",
-	"iommu.Domain.TranslatePage":  "read-only translation; IOMMU mapping tests",
 	"iommu.IOMMU.PageSize":        "read-only page size; test rigs size DMA regions with it",
 	"journey.Engine.Rules":        "read-only parsed rules; alert-engine tests",
 	"journey.FormatRules":         "inverse of ParseRules; the rule-parser fuzz round-trips through it",

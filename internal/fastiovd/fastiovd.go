@@ -17,8 +17,12 @@
 //
 // The table is stored so that a zeroing claim neither hashes nor allocates:
 // the first tier is a slice indexed by PID (kvm assigns PIDs sequentially
-// from 1), each second tier is a chunked pagetab set, and the event a
-// concurrent fault waits on is created only when a fault actually waits.
+// from 1), each second tier is a pagetab.Bitmap of HPA pages, and the event
+// a concurrent fault waits on is created only when a fault actually waits.
+// The scrubber's FIFO holds (pid, start, count) page runs, one per
+// registered region run, and hands out their pages one at a time. Both are
+// host-side storage: the simulated bookkeeping cost is still charged per
+// registered page (RegisterCostPerPage).
 package fastiovd
 
 import (
@@ -32,9 +36,8 @@ import (
 
 // pidPages is one first-tier slot: the pages deferred for one microVM.
 type pidPages struct {
-	// pages is the second tier, a set of HPA pages (the stored value is
-	// unused); nil when nothing is tracked.
-	pages *pagetab.Table
+	// pages is the second tier, the set of deferred HPA pages.
+	pages pagetab.Bitmap
 	// released marks a pid whose pages Release dropped. A zeroing claim
 	// unwound after the owner's teardown must not resurrect the table: the
 	// pages have returned to the allocator and are re-zeroed for their next
@@ -44,10 +47,11 @@ type pidPages struct {
 	released bool
 }
 
-// scrubEntry is one deferred page in the scrubber's FIFO.
-type scrubEntry struct {
-	pid  int
-	page int64
+// scrubRun is count consecutive deferred pages of one pid in the
+// scrubber's FIFO, starting at page start.
+type scrubRun struct {
+	pid          int
+	start, count int64
 }
 
 // claim is one zeroing in progress. page is -1 once a fault can no longer
@@ -71,11 +75,13 @@ type Module struct {
 	// pids is the two-tier table: PID -> set of deferred HPA pages.
 	pids []pidPages
 
-	// scrubQueue[scrubHead:] holds (pid, page) pairs in registration order
-	// so the background scrubber drains deterministically. Entries already
-	// zeroed via the fault path are skipped when dequeued.
-	scrubQueue []scrubEntry
+	// scrubQueue[scrubHead:] holds page runs in registration order so the
+	// background scrubber drains deterministically; scrubPages counts their
+	// pages. Pages already zeroed via the fault path are skipped when
+	// dequeued.
+	scrubQueue []scrubRun
 	scrubHead  int
+	scrubPages int
 
 	// inflight lists pages whose zeroing has been claimed but not yet
 	// completed (the zeroer is waiting on memory bandwidth). A concurrent
@@ -134,21 +140,25 @@ func (m *Module) slot(pid int) *pidPages {
 	return &m.pids[pid]
 }
 
-// pages returns pid's deferred page set (nil when none).
-func (m *Module) pages(pid int) *pagetab.Table {
-	if pid >= len(m.pids) {
-		return nil
-	}
-	return m.pids[pid].pages
+// tracked reports whether page is deferred for pid.
+func (m *Module) tracked(pid int, page int64) bool {
+	return pid < len(m.pids) && m.pids[pid].pages.Has(page)
 }
 
-// track adds page to pid's set and to the scrub queue.
-func (m *Module) track(s *pidPages, pid int, page int64) {
-	if s.pages == nil {
-		s.pages = pagetab.New()
+// enqueue appends count pages of pid from start to the scrub queue,
+// extending the tail run when the pages continue it.
+func (m *Module) enqueue(pid int, start, count int64) {
+	if count <= 0 {
+		return
 	}
-	s.pages.Set(page, 0)
-	m.scrubQueue = append(m.scrubQueue, scrubEntry{pid: pid, page: page})
+	m.scrubPages += int(count)
+	if n := len(m.scrubQueue); n > m.scrubHead {
+		if t := &m.scrubQueue[n-1]; t.pid == pid && t.start+t.count == start {
+			t.count += count
+			return
+		}
+	}
+	m.scrubQueue = append(m.scrubQueue, scrubRun{pid: pid, start: start, count: count})
 }
 
 // Register defers zeroing for every page of region, owned by microVM pid.
@@ -157,12 +167,11 @@ func (m *Module) track(s *pidPages, pid int, page int64) {
 func (m *Module) Register(p *sim.Proc, pid int, region *hostmem.Region) {
 	s := m.slot(pid)
 	s.released = false
-	var n int64
-	region.Pages(func(pg int64) {
-		m.track(s, pid, pg)
-		n++
-	})
-	if cost := time.Duration(n) * m.RegisterCostPerPage; cost > 0 {
+	for _, r := range region.Runs {
+		s.pages.AddRun(r.Start, r.Count)
+		m.enqueue(pid, r.Start, r.Count)
+	}
+	if cost := time.Duration(region.PageCount()) * m.RegisterCostPerPage; cost > 0 {
 		p.Sleep(cost)
 	}
 }
@@ -195,7 +204,7 @@ func (m *Module) OnEPTFault(p *sim.Proc, pid int, hpaPage int64) {
 // lazyZero claims and zeroes hpaPage on the fault path if it is tracked for
 // pid, reporting whether it was.
 func (m *Module) lazyZero(p *sim.Proc, pid int, hpaPage int64) bool {
-	if _, ok := m.pages(pid).Get(hpaPage); !ok {
+	if !m.tracked(pid, hpaPage) {
 		return false
 	}
 	m.claimAndZero(p, pid, hpaPage)
@@ -233,11 +242,7 @@ func (m *Module) forget(hpaPage int64) {
 // the page is still tracked — and still gets zeroed before any later
 // exposure.
 func (m *Module) claimAndZero(p *sim.Proc, pid int, hpaPage int64) {
-	s := &m.pids[pid]
-	s.pages.Delete(hpaPage)
-	if s.pages.Len() == 0 {
-		s.pages = nil
-	}
+	m.pids[pid].pages.Remove(hpaPage)
 	m.forget(hpaPage)
 	m.lastClaim++
 	id := m.lastClaim
@@ -257,7 +262,8 @@ func (m *Module) claimAndZero(p *sim.Proc, pid int, hpaPage int64) {
 		// down in the meantime. A released pid's pages are back in the
 		// allocator; re-tracking them would strand a table entry forever.
 		if s := &m.pids[pid]; !completed && !s.released {
-			m.track(s, pid, hpaPage)
+			s.pages.Add(hpaPage)
+			m.enqueue(pid, hpaPage, 1)
 		}
 		// Waiters re-check the table when they wake, so they are woken on
 		// the unwound path too — except while the kernel unwinds every
@@ -296,15 +302,11 @@ func (m *Module) CrashDaemon(p *sim.Proc) {
 	m.scrubProc = nil
 	// The dying pass may have re-queued its in-flight page; the rebuild
 	// below supersedes the old queue entirely.
-	m.scrubQueue, m.scrubHead = m.scrubQueue[:0], 0
-	var n int64
+	m.scrubQueue, m.scrubHead, m.scrubPages = m.scrubQueue[:0], 0, 0
 	for pid := range m.pids {
-		m.pids[pid].pages.Range(func(pg, _ int64) {
-			m.scrubQueue = append(m.scrubQueue, scrubEntry{pid: pid, page: pg})
-			n++
-		})
+		m.pids[pid].pages.Range(func(pg int64) { m.enqueue(pid, pg, 1) })
 	}
-	if cost := time.Duration(n) * m.RegisterCostPerPage; cost > 0 {
+	if cost := time.Duration(m.scrubPages) * m.RegisterCostPerPage; cost > 0 {
 		p.Sleep(cost)
 	}
 	m.ScrubberRestarts++
@@ -321,22 +323,27 @@ func (m *Module) zero(p *sim.Proc, hpaPage int64) {
 }
 
 // Tracked returns the number of pages still awaiting zeroing for pid.
-func (m *Module) Tracked(pid int) int { return m.pages(pid).Len() }
+func (m *Module) Tracked(pid int) int {
+	if pid >= len(m.pids) {
+		return 0
+	}
+	return m.pids[pid].pages.Len()
+}
 
 // TrackedTotal returns the table-wide deferred page count. A page tracked
 // under two pids (freed by one VM's teardown before its Release, then
 // registered by the next) counts once per pid.
 func (m *Module) TrackedTotal() int {
 	n := 0
-	for _, s := range m.pids {
-		n += s.pages.Len()
+	for i := range m.pids {
+		n += m.pids[i].pages.Len()
 	}
 	return n
 }
 
 // ScrubQueueLen returns the length of the background scrub list — the
 // deferred pages queued for the scrubber thread, in registration order.
-func (m *Module) ScrubQueueLen() int { return len(m.scrubQueue) - m.scrubHead }
+func (m *Module) ScrubQueueLen() int { return m.scrubPages }
 
 // Release drops pid's table without zeroing (VM teardown: the pages return
 // to the allocator dirty and are re-zeroed for their next owner). The pid is
@@ -370,19 +377,25 @@ func (m *Module) StartScrubber(interval time.Duration, pagesPerPass int) {
 // scrub is one scrubber pass: it zeroes up to n queued pages that are still
 // tracked, in FIFO order.
 func (m *Module) scrub(p *sim.Proc, n int) {
-	for cleared := 0; cleared < n && m.scrubHead < len(m.scrubQueue); {
-		e := m.scrubQueue[m.scrubHead]
-		m.scrubHead++
-		// Compact once the consumed head is at least half the slice: the
-		// copy is no longer than the pops that paid for it.
-		if 2*m.scrubHead >= len(m.scrubQueue) {
-			m.scrubQueue = m.scrubQueue[:copy(m.scrubQueue, m.scrubQueue[m.scrubHead:])]
-			m.scrubHead = 0
+	for cleared := 0; cleared < n && m.scrubPages > 0; {
+		head := &m.scrubQueue[m.scrubHead]
+		pid, page := head.pid, head.start
+		head.start++
+		head.count--
+		m.scrubPages--
+		if head.count == 0 {
+			m.scrubHead++
+			// Compact once the consumed head is at least half the slice:
+			// the copy is no longer than the pops that paid for it.
+			if 2*m.scrubHead >= len(m.scrubQueue) {
+				m.scrubQueue = m.scrubQueue[:copy(m.scrubQueue, m.scrubQueue[m.scrubHead:])]
+				m.scrubHead = 0
+			}
 		}
-		if _, ok := m.pages(e.pid).Get(e.page); !ok {
+		if !m.tracked(pid, page) {
 			continue // already zeroed on the fault path
 		}
-		m.claimAndZero(p, e.pid, e.page)
+		m.claimAndZero(p, pid, page)
 		m.ScrubZeroed++
 		cleared++
 	}

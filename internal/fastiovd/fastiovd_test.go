@@ -1,6 +1,9 @@
 package fastiovd
 
 import (
+	"runtime"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -302,8 +305,23 @@ func TestFaultOnUntrackedPIDIsNoop(t *testing.T) {
 // 10 GiB/s stream rate.
 const zeroTime = time.Second * (2 << 20) / (10 << 30)
 
-// queued returns the scrubber's pending (pid, page) entries in FIFO order.
-func queued(m *Module) []scrubEntry { return m.scrubQueue[m.scrubHead:] }
+// queuedPage is one deferred page in the scrubber's FIFO.
+type queuedPage struct {
+	pid  int
+	page int64
+}
+
+// queued returns the scrubber's pending (pid, page) entries in FIFO order,
+// expanding the queued runs into pages.
+func queued(m *Module) []queuedPage {
+	var out []queuedPage
+	for _, r := range m.scrubQueue[m.scrubHead:] {
+		for pg := r.start; pg < r.start+r.count; pg++ {
+			out = append(out, queuedPage{pid: r.pid, page: pg})
+		}
+	}
+	return out
+}
 
 func TestPageTrackedByTwoPIDsCountsTwice(t *testing.T) {
 	// Teardown frees a VM's pages before its table is released, so a page
@@ -330,7 +348,7 @@ func TestPageTrackedByTwoPIDsCountsTwice(t *testing.T) {
 func TestCrashDaemonRebuildsQueueInPIDPageOrder(t *testing.T) {
 	r := newRig()
 	r.mod.StartScrubber(time.Hour, 1)
-	var want []scrubEntry
+	var want []queuedPage
 	r.k.Go("t", func(p *sim.Proc) {
 		low, _ := r.mem.Allocate(p, 6*mb)
 		high, _ := r.mem.Allocate(p, 4*mb)
@@ -340,7 +358,7 @@ func TestCrashDaemonRebuildsQueueInPIDPageOrder(t *testing.T) {
 		r.mod.Register(p, 3, low)
 		r.mod.Register(p, 7, low)
 		add := func(pid int, reg *hostmem.Region) {
-			reg.Pages(func(pg int64) { want = append(want, scrubEntry{pid: pid, page: pg}) })
+			reg.Pages(func(pg int64) { want = append(want, queuedPage{pid: pid, page: pg}) })
 		}
 		add(3, low)
 		add(7, low)
@@ -474,4 +492,157 @@ func BenchmarkFastiovdClaim(b *testing.B) {
 		}
 	})
 	r.k.Run()
+}
+
+func TestRegister1GiBAt4KAllocatesLittle(t *testing.T) {
+	// 262,144 deferred pages must cost the host a handful of bitmap chunks
+	// and one queued run, not an entry per page.
+	k := sim.NewKernel(1)
+	cfg := hostmem.DefaultConfig()
+	cfg.TotalBytes, cfg.PageSize = 2<<30, 4<<10
+	mem := hostmem.New(k, cfg)
+	mod := New(k, mem)
+	var allocs, bytes uint64
+	k.Go("t", func(p *sim.Proc) {
+		region, _ := mem.Allocate(p, 1<<30)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		mod.Register(p, 1, region)
+		runtime.ReadMemStats(&after)
+		allocs, bytes = after.Mallocs-before.Mallocs, after.TotalAlloc-before.TotalAlloc
+	})
+	k.Run()
+	if mod.Tracked(1) != 262144 || mod.ScrubQueueLen() != 262144 {
+		t.Fatalf("tracked %d, queued %d pages, want 262144", mod.Tracked(1), mod.ScrubQueueLen())
+	}
+	t.Logf("Register: %d allocations, %d bytes", allocs, bytes)
+	if allocs > 128 || bytes > 128<<10 {
+		t.Errorf("Register made %d allocations, %d bytes; want <= 128 and <= 128 KiB", allocs, bytes)
+	}
+}
+
+// refModule is the per-page reference for the scrubber's bookkeeping: one
+// FIFO entry per deferred page and a plain set per pid.
+type refModule struct {
+	fifo []queuedPage
+	sets map[int]map[int64]bool
+}
+
+func (r *refModule) register(pid int, reg *hostmem.Region) {
+	if r.sets[pid] == nil {
+		r.sets[pid] = map[int64]bool{}
+	}
+	reg.Pages(func(pg int64) {
+		r.sets[pid][pg] = true
+		r.fifo = append(r.fifo, queuedPage{pid: pid, page: pg})
+	})
+}
+
+// scrub pops up to n still-tracked pages, returning them in order.
+func (r *refModule) scrub(n int) []queuedPage {
+	var out []queuedPage
+	for len(out) < n && len(r.fifo) > 0 {
+		e := r.fifo[0]
+		r.fifo = r.fifo[1:]
+		if r.sets[e.pid][e.page] {
+			delete(r.sets[e.pid], e.page)
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// rebuild is CrashDaemon's queue: every tracked page in (pid, page) order.
+func (r *refModule) rebuild() {
+	r.fifo = nil
+	var pids []int
+	for pid := range r.sets {
+		pids = append(pids, pid)
+	}
+	sort.Ints(pids)
+	for _, pid := range pids {
+		var pages []int64
+		for pg := range r.sets[pid] {
+			pages = append(pages, pg)
+		}
+		slices.Sort(pages)
+		for _, pg := range pages {
+			r.fifo = append(r.fifo, queuedPage{pid: pid, page: pg})
+		}
+	}
+}
+
+// FuzzScrubOrder runs Register/fault/scrub/Release/CrashDaemon
+// interleavings against refModule: the scrubber must dequeue exactly the
+// reference's (pid, page) sequence, and the queue and per-pid sets must
+// match it after every op.
+func FuzzScrubOrder(f *testing.F) {
+	f.Add([]byte{0, 1, 3, 2, 0, 2, 3, 1, 3, 2, 1, 0, 2, 1, 9, 9, 4, 0, 0, 0, 3, 0, 8, 0})
+	f.Add([]byte{0, 1, 0, 5, 0, 1, 2, 5, 1, 1, 1, 0, 4, 0, 0, 0, 2, 1, 3, 0, 3, 0, 0, 0})
+	f.Add([]byte("2000210010000")) // register pids 1 and 2, then crash
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		r := newRig()
+		r.mod.StartScrubber(time.Hour, 1)
+		ref := &refModule{sets: map[int]map[int64]bool{}}
+		r.k.Go("t", func(p *sim.Proc) {
+			for i := 0; i+3 < len(ops); i += 4 {
+				pid := int(ops[i+1]%3) + 1
+				switch ops[i] % 5 {
+				case 0: // Register 1-2 runs over a small page range
+					reg := &hostmem.Region{}
+					for j := 0; j <= int(ops[i+3]%2); j++ {
+						reg.Runs = append(reg.Runs, hostmem.Run{
+							Start: int64(ops[i+2]%40) + int64(j)*int64(ops[i+3]%50),
+							Count: int64(ops[i+3]>>(2+3*j)&7) + 1,
+						})
+					}
+					r.mod.Register(p, pid, reg)
+					ref.register(pid, reg)
+				case 1: // EPT fault on one page
+					pg := int64(ops[i+2] % 64)
+					before := r.mod.LazyZeroed
+					r.mod.OnEPTFault(p, pid, pg)
+					if hit := ref.sets[pid][pg]; hit != (r.mod.LazyZeroed == before+1) {
+						t.Fatalf("op %d: fault on (%d, %d) zeroed=%v, tracked=%v", i, pid, pg, !hit, hit)
+					}
+					delete(ref.sets[pid], pg)
+				case 2: // one scrubber pass
+					n := int(ops[i+2]%6) + 1
+					// The per-pid set check below pins which pages the
+					// pass claimed; n == 1 passes pin the order.
+					want := ref.scrub(n)
+					before := r.mod.ScrubZeroed
+					r.mod.scrub(p, n)
+					if r.mod.ScrubZeroed-before != len(want) {
+						t.Fatalf("op %d: scrub(%d) zeroed %d pages, want %v", i, n, r.mod.ScrubZeroed-before, want)
+					}
+				case 3:
+					r.mod.Release(pid)
+					delete(ref.sets, pid)
+				case 4:
+					r.mod.CrashDaemon(p)
+					ref.rebuild()
+				}
+				if got := queued(r.mod); !slices.Equal(got, ref.fifo) || r.mod.ScrubQueueLen() != len(ref.fifo) {
+					t.Fatalf("op %d: queue %v (len %d), want %v", i, got, r.mod.ScrubQueueLen(), ref.fifo)
+				}
+				total := 0
+				for pid, set := range ref.sets {
+					total += len(set)
+					if r.mod.Tracked(pid) != len(set) {
+						t.Fatalf("op %d: pid %d tracks %d pages, want %d", i, pid, r.mod.Tracked(pid), len(set))
+					}
+					for pg := range set {
+						if !r.mod.tracked(pid, pg) {
+							t.Fatalf("op %d: page (%d, %d) lost", i, pid, pg)
+						}
+					}
+				}
+				if r.mod.TrackedTotal() != total {
+					t.Fatalf("op %d: TrackedTotal %d, want %d", i, r.mod.TrackedTotal(), total)
+				}
+			}
+		})
+		r.k.Run()
+	})
 }

@@ -63,13 +63,12 @@ type MemSlot struct {
 	Bytes   int64
 	Backing *hostmem.Region
 
-	// contig/base give O(1) page lookup for single-run backing regions
-	// (the common case: the allocator's contiguous-run scan); pages is the
-	// flattened fallback for fragmented regions.
-	contig bool
-	base   int64
-	pages  []int64
-	demand *pagetab.Table // slot page index -> demand-allocated HPA page (nil for backed slots)
+	// firstIdx[i] is the slot page index of Backing.Runs[i]'s first page:
+	// hpaAt is O(1) for single-run backing (the common case: the
+	// allocator's contiguous-run scan) and a binary search over the runs
+	// for fragmented backing.
+	firstIdx []int64
+	demand   *pagetab.Table // slot page index -> demand-allocated HPA page (nil for backed slots)
 }
 
 // VM is one microVM as KVM sees it.
@@ -78,7 +77,10 @@ type VM struct {
 	kvm   *KVM
 	mem   *hostmem.Allocator
 	slots []*MemSlot
-	ept   *pagetab.Table // GPA page -> HPA page
+	// ept is the set of GPA pages with an installed translation. The HPA
+	// of each is fixed by its memory slot (hpaAt, or the demand table), so
+	// a hit re-derives it rather than storing a second copy.
+	ept pagetab.Bitmap
 
 	// Faults counts EPT violations taken; Hits counts translations served
 	// from the EPT without a fault. §6.5's "<1% overhead" argument rests on
@@ -95,7 +97,6 @@ func (h *KVM) CreateVM() *VM {
 		PID: h.nextPID,
 		kvm: h,
 		mem: h.mem,
-		ept: pagetab.New(),
 	}
 	h.vms[vm.PID] = vm
 	return vm
@@ -154,11 +155,11 @@ func (vm *VM) AddSlot(name string, gpaBase, bytes int64, backing *hostmem.Region
 		if backing.PageCount()*ps < bytes {
 			return nil, fmt.Errorf("kvm: backing region too small for slot %q", name)
 		}
-		if len(backing.Runs) == 1 {
-			slot.contig, slot.base = true, backing.Runs[0].Start
-		} else {
-			slot.pages = make([]int64, 0, backing.PageCount())
-			backing.Pages(func(pg int64) { slot.pages = append(slot.pages, pg) })
+		slot.firstIdx = make([]int64, len(backing.Runs))
+		var idx int64
+		for i, r := range backing.Runs {
+			slot.firstIdx[i] = idx
+			idx += r.Count
 		}
 	} else {
 		slot.demand = pagetab.New()
@@ -169,10 +170,11 @@ func (vm *VM) AddSlot(name string, gpaBase, bytes int64, backing *hostmem.Region
 
 // hpaAt returns the HPA page backing slot-relative page index idx.
 func (s *MemSlot) hpaAt(idx int64) int64 {
-	if s.contig {
-		return s.base + idx
+	i := 0
+	if len(s.firstIdx) > 1 {
+		i = sort.Search(len(s.firstIdx), func(i int) bool { return s.firstIdx[i] > idx }) - 1
 	}
-	return s.pages[idx]
+	return s.Backing.Runs[i].Start + idx - s.firstIdx[i]
 }
 
 // slotFor finds the slot containing gpa.
@@ -186,38 +188,21 @@ func (vm *VM) slotFor(gpa int64) (*MemSlot, error) {
 }
 
 // Touch models one guest access to gpa. On an EPT hit it is free (hardware
-// translation). On a miss it takes the full violation path: resolve the
-// HPA (allocating on demand for unbacked slots), run the fault hook (lazy
-// zeroing), install the EPT entry, and charge the fault cost. Reads are
-// checked against residual-data exposure (hostmem.GuestRead).
+// translation; the HPA is re-derived from the slot). On a miss it takes the
+// full violation path: resolve the HPA (allocating on demand for unbacked
+// slots), run the fault hook (lazy zeroing), install the EPT entry, and
+// charge the fault cost. Reads are checked against residual-data exposure
+// (hostmem.GuestRead).
 func (vm *VM) Touch(p *sim.Proc, gpa int64, write bool) error {
-	ps := vm.mem.PageSize()
-	gpaPage := gpa / ps
-	hpa, ok := vm.ept.Get(gpaPage)
-	if !ok {
-		slot, err := vm.slotFor(gpa)
-		if err != nil {
-			return err
-		}
-		idx := (gpa - slot.GPABase) / ps
-		if slot.Backing != nil {
-			hpa = slot.hpaAt(idx)
-		} else if hpa, ok = slot.demand.Get(idx); !ok {
-			// Demand paging: the host fault handler allocates and zeroes
-			// the page before mapping it (standard lazy zeroing, available
-			// only without passthrough DMA).
-			r, err := vm.mem.Allocate(p, ps)
-			if err != nil {
-				return err
-			}
-			hpa = r.Runs[0].Start
-			vm.mem.ZeroPage(p, hpa)
-			slot.demand.Set(idx, hpa)
-		}
+	hpa, err := vm.ResolveHPA(p, gpa)
+	if err != nil {
+		return err
+	}
+	if gpaPage := gpa / vm.mem.PageSize(); !vm.ept.Has(gpaPage) {
 		if vm.kvm.Hook != nil {
 			vm.kvm.Hook(p, vm.PID, hpa)
 		}
-		vm.ept.Set(gpaPage, hpa)
+		vm.ept.Add(gpaPage)
 		vm.Faults++
 		vm.kvm.TotalFaults++
 		p.Sleep(vm.kvm.EPTFaultCost)
@@ -265,7 +250,9 @@ func (vm *VM) HostWrite(p *sim.Proc, gpa, bytes int64) error {
 
 // ResolveHPA translates a GPA to its HPA page through the slot tables
 // (GPA→HVA→HPA in the paper's Fig. 9; we fold HVA into the slot lookup),
-// allocating demand pages if needed.
+// allocating demand pages if needed: the host fault handler allocates and
+// zeroes a demand page on its first use (standard lazy zeroing, available
+// only without passthrough DMA).
 func (vm *VM) ResolveHPA(p *sim.Proc, gpa int64) (int64, error) {
 	ps := vm.mem.PageSize()
 	slot, err := vm.slotFor(gpa)

@@ -241,3 +241,32 @@ func TestEPTFaultCostCharged(t *testing.T) {
 	})
 	k.Run()
 }
+
+func TestFragmentedSlotResolvesEveryRun(t *testing.T) {
+	// A slot on a multi-run region: every slot page must resolve to the
+	// region's page at the same position, across run boundaries.
+	k, mem, h := newHost(1 << 30)
+	region := &hostmem.Region{
+		Runs:  []hostmem.Run{{Start: 40, Count: 3}, {Start: 7, Count: 1}, {Start: 100, Count: 4}},
+		Bytes: 8 * 2 * mb,
+	}
+	var want []int64
+	region.Pages(func(pg int64) { want = append(want, pg) })
+	k.Go("t", func(p *sim.Proc) {
+		vm := h.CreateVM()
+		if _, err := vm.AddSlot("ram", 0, region.Bytes, region); err != nil {
+			t.Fatal(err)
+		}
+		ps := mem.PageSize()
+		for i, pg := range want {
+			hpa, err := vm.ResolveHPA(p, int64(i)*ps+ps/2)
+			if err != nil || hpa != pg {
+				t.Errorf("slot page %d: ResolveHPA = %d, %v; want %d", i, hpa, err, pg)
+			}
+		}
+		if _, err := vm.ResolveHPA(p, region.Bytes); err == nil {
+			t.Error("GPA past the slot resolved")
+		}
+	})
+	k.Run()
+}

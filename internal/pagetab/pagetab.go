@@ -1,23 +1,30 @@
-// Package pagetab provides a chunked sparse page table: an int64→int64
-// mapping specialized for the page-number keys used by the simulated IOMMU
-// I/O page tables, KVM EPTs, and demand-paging slots.
+// Package pagetab stores per-page bookkeeping keyed by page number without
+// a Go map entry per page. It has two types:
 //
-// Those tables are written one entry per mapped page on the DMA-map and
-// EPT-violation hot paths; with a plain Go map the per-page rehash and
-// hashing work dominates both the CPU and allocation profile of a
-// 200-container startup run. Page numbers are dense in practice (a region
-// maps consecutive pages), so the table stores values in fixed 128-entry
-// chunks addressed by key>>chunkBits and caches the last chunk touched: a
-// sequential fill costs one map lookup per 128 pages and one array store
-// per page, and memory stays proportional to the number of distinct chunks
-// touched even under sparse or large keys (the 4K-page ablation maps 512×
-// more pages per guest than the default geometry).
+//   - Table, a chunked sparse int64→int64 map, for the one true page→value
+//     map in the simulator: KVM's demand-paged slots (slot page index →
+//     demand-allocated HPA page), filled one page per first touch.
+//   - Bitmap, a chunked page set, for presence-only bookkeeping: fastiovd's
+//     per-PID sets of deferred pages and KVM's EPT (which GPA pages have a
+//     translation installed; the HPA is fixed by the memory slot).
+//
+// Page numbers are dense in practice (a region maps consecutive pages), so
+// both types store fixed-size chunks addressed by key>>bits and cache the
+// last chunk touched: a sequential walk costs one map lookup per chunk and
+// one array access per page, and memory stays proportional to the number
+// of distinct chunks touched even under sparse or large keys (the 4K-page
+// ablation maps 512× more pages per guest than the default geometry).
+// Bitmap additionally sets whole words when adding a run of pages.
 //
 // The zero Table is NOT ready for use; call New. A nil *Table behaves like
-// a nil map: reads miss, Delete is a no-op, Set panics.
+// a nil map: reads miss, Set panics. The zero Bitmap is an empty set, ready
+// for use.
 package pagetab
 
-import "sort"
+import (
+	"math/bits"
+	"sort"
+)
 
 const (
 	chunkBits = 7
@@ -27,7 +34,7 @@ const (
 
 // Table maps int64 keys to non-negative int64 values (page numbers and
 // host physical addresses). Entries store value+1 internally so the zero
-// slot means "absent"; callers never see the bias, and Set/Insert panic on
+// slot means "absent"; callers never see the bias, and Set panics on
 // negative values, which the bias cannot represent (-1 would collide with
 // the absent sentinel and silently corrupt the entry count).
 type Table struct {
@@ -92,37 +99,6 @@ func (t *Table) Set(key, value int64) {
 	c[key&chunkMask] = value + 1
 }
 
-// Insert stores value at key only if the key is absent, reporting whether
-// it inserted. value must be non-negative.
-func (t *Table) Insert(key, value int64) bool {
-	if value < 0 {
-		panic("pagetab: negative value")
-	}
-	c := t.chunkFor(key, true)
-	if c[key&chunkMask] != 0 {
-		return false
-	}
-	c[key&chunkMask] = value + 1
-	t.n++
-	return true
-}
-
-// Delete removes key, reporting whether it was present. Emptied chunks are
-// retained (the table's lifetime is the domain's lifetime; memory is
-// returned when the whole table is dropped).
-func (t *Table) Delete(key int64) bool {
-	if t == nil {
-		return false
-	}
-	c := t.chunkFor(key, false)
-	if c == nil || c[key&chunkMask] == 0 {
-		return false
-	}
-	c[key&chunkMask] = 0
-	t.n--
-	return true
-}
-
 // Len returns the number of live entries.
 func (t *Table) Len() int {
 	if t == nil {
@@ -137,17 +113,129 @@ func (t *Table) Range(fn func(key, value int64)) {
 	if t == nil {
 		return
 	}
-	keys := make([]int64, 0, len(t.chunks))
-	for ck := range t.chunks {
-		keys = append(keys, ck)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	for _, ck := range keys {
+	for _, ck := range sortedKeys(t.chunks) {
 		c := t.chunks[ck]
 		base := ck << chunkBits
 		for i, v := range c {
 			if v != 0 {
 				fn(base+int64(i), v-1)
+			}
+		}
+	}
+}
+
+// sortedKeys returns m's chunk keys in ascending order.
+func sortedKeys[V any](m map[int64]V) []int64 {
+	keys := make([]int64, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+	return keys
+}
+
+const (
+	bitChunkBits  = 12 // 4096 pages per chunk
+	bitChunkWords = 1 << bitChunkBits / 64
+	bitChunkMask  = 1<<bitChunkBits - 1
+)
+
+// bitChunk is the presence bits of 4096 consecutive pages.
+type bitChunk [bitChunkWords]uint64
+
+// Bitmap is a set of non-negative page numbers.
+type Bitmap struct {
+	chunks map[int64]*bitChunk
+	n      int
+
+	// One-entry chunk cache, as in Table. last is nil when empty.
+	lastKey int64
+	last    *bitChunk
+}
+
+// chunkFor returns the chunk holding page, creating it when create is set.
+func (b *Bitmap) chunkFor(page int64, create bool) *bitChunk {
+	ck := page >> bitChunkBits
+	if b.last != nil && ck == b.lastKey {
+		return b.last
+	}
+	c := b.chunks[ck]
+	if c == nil {
+		if !create {
+			return nil
+		}
+		if b.chunks == nil {
+			b.chunks = make(map[int64]*bitChunk)
+		}
+		c = new(bitChunk)
+		b.chunks[ck] = c
+	}
+	b.lastKey, b.last = ck, c
+	return c
+}
+
+// Has reports whether page is in the set.
+func (b *Bitmap) Has(page int64) bool {
+	c := b.chunkFor(page, false)
+	if c == nil {
+		return false
+	}
+	i := page & bitChunkMask
+	return c[i>>6]&(1<<(i&63)) != 0
+}
+
+// Add inserts page.
+func (b *Bitmap) Add(page int64) {
+	c := b.chunkFor(page, true)
+	i := page & bitChunkMask
+	if w, bit := &c[i>>6], uint64(1)<<(i&63); *w&bit == 0 {
+		*w |= bit
+		b.n++
+	}
+}
+
+// AddRun inserts the count pages starting at start, a word at a time.
+func (b *Bitmap) AddRun(start, count int64) {
+	for end := start + count; start < end; {
+		c := b.chunkFor(start, true)
+		i := start & bitChunkMask
+		// The span of this run inside the current 64-page word.
+		n := min(64-i&63, end-start)
+		mask := ^uint64(0) >> (64 - n) << (i & 63)
+		w := &c[i>>6]
+		b.n += bits.OnesCount64(mask &^ *w)
+		*w |= mask
+		start += n
+	}
+}
+
+// Remove deletes page. The set releases its memory when it becomes empty.
+func (b *Bitmap) Remove(page int64) {
+	c := b.chunkFor(page, false)
+	if c == nil {
+		return
+	}
+	i := page & bitChunkMask
+	if w, bit := &c[i>>6], uint64(1)<<(i&63); *w&bit != 0 {
+		*w &^= bit
+		if b.n--; b.n == 0 {
+			*b = Bitmap{}
+		}
+	}
+}
+
+// Len returns the number of pages in the set.
+func (b *Bitmap) Len() int { return b.n }
+
+// Range calls fn for every page in ascending order. fn must not mutate the
+// set.
+func (b *Bitmap) Range(fn func(page int64)) {
+	for _, ck := range sortedKeys(b.chunks) {
+		base := ck << bitChunkBits
+		for wi, w := range b.chunks[ck] {
+			for w != 0 {
+				fn(base + int64(wi)<<6 + int64(bits.TrailingZeros64(w)))
+				w &= w - 1
 			}
 		}
 	}
