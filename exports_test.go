@@ -48,7 +48,6 @@ var testAccessors = map[string]string{
 	"kvm.VM.EPTEntries":           "read-only EPT size; fault-path invariant tests",
 	"metrics.Histogram.Exemplars": "read-only exemplar slots; exemplar linkage tests",
 	"metrics.Histogram.Sum":       "read-only observation sum; histogram tests",
-	"metrics.ResourceWatch.InUse": "read-only occupancy; resource-watch tests",
 	"nic.NIC.PF":                  "read-only physical function; NIC topology tests",
 	"pci.Topology.Buses":          "read-only bus list; PCI topology tests",
 	"pci.Topology.Lookup":         "read-only BDF lookup; PCI topology tests",

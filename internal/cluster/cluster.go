@@ -73,9 +73,9 @@ type Options struct {
 	// membw resource, vfio devset/device locks, rtnl, cgroup, irq-routing,
 	// cpu, the NIC link). Fleets booting many hosts into one shared kernel
 	// give each host a unique scope (e.g. "h003-") so name-matching
-	// observers — trace contention profiles, metrics resource and lock-queue
-	// watchers — attribute events to the right host. The empty default keeps
-	// every historical name, so single-host runs are byte-identical.
+	// observers — trace contention profiles — attribute events to the right
+	// host. The empty default keeps every historical name, so single-host
+	// runs are byte-identical.
 	Scope string
 
 	// The four FastIOV optimizations (§6.1's ablation removes them one at
@@ -536,14 +536,12 @@ func (h *Host) wireStack(pol fault.Policy) error {
 		Retry:        pol,
 	})
 	// Metrics attach last, once every substrate exists: instruments are
-	// read-only closures over substrate state, the probe observer chains
-	// behind any tracer, and the sampler daemon starts ticking at t=0.
-	// None of this consumes simulated time or PRNG draws — a metrics-on
-	// run stays byte-identical to a metrics-off run.
+	// read-only closures over substrate state, and the sampler daemon
+	// starts ticking at t=0. None of this consumes simulated time or PRNG
+	// draws — a metrics-on run stays byte-identical to a metrics-off run.
 	if opts.Metrics {
 		h.Metrics = metrics.New(metrics.DefaultCadence)
 		h.attachMetrics()
-		h.K.ChainProbe(h.Metrics.Observer())
 		h.Metrics.Start(h.K)
 	}
 	// The baseline is taken after boot-time VF binding and pre-zeroing so
@@ -615,13 +613,10 @@ func (r *Result) SuccessRate() float64 {
 func (h *Host) StartupExperiment(n int) *Result {
 	res := h.startupWave(n, 0)
 	if h.Opts.Audit {
-		// Detach the probe before teardown: the recorded trace stream and
-		// the sealed metrics registry (and hence their fingerprints) cover
-		// exactly the measured startup phase, byte-identical to an
-		// unaudited run.
-		if h.Tracer != nil || h.Metrics != nil {
-			h.K.SetProbe(nil)
-		}
+		// Detach the tracer before teardown: the recorded trace stream, like
+		// the metrics registry sealed at the end of the wave, covers exactly
+		// the measured startup phase, byte-identical to an unaudited run.
+		h.K.SetProbe(nil)
 		if err := h.stopAll(res.Live(), nil); err != nil {
 			res.Err = errors.Join(res.Err, err)
 		}

@@ -11,7 +11,6 @@ import (
 	"fastiov/internal/hostmem"
 	"fastiov/internal/metrics"
 	"fastiov/internal/telemetry"
-	"fastiov/internal/vfio"
 )
 
 // Instrument ids shared with the saturation experiment and the conservation
@@ -52,24 +51,21 @@ func pageSizeLabel(bytes int64) string {
 	}
 }
 
-// attachMetrics registers every host instrument with h.Metrics. The probe
-// observer (devset queue depth, membw busy integral) is installed by the
-// caller via sim.Kernel.ChainProbe.
+// attachMetrics registers every host instrument with h.Metrics.
 func (h *Host) attachMetrics() {
 	m := h.Metrics
 
 	// hostmem: allocator and zeroing-bandwidth saturation. The busy
-	// integral is event-driven (probe), so conservation properties hold
-	// exactly, not just at sample instants.
+	// integral is the membw resource's own, advanced at every acquire and
+	// release, so conservation properties hold exactly, not just at sample
+	// instants.
 	mem := h.Mem
 	bw := mem.Bandwidth()
-	membw := m.WatchResource(h.Opts.Scope + hostmem.MemBWName)
 	m.GaugeFunc(MetricMembwInUse, "zeroing-bandwidth streams currently held", nil,
 		func() float64 { return float64(bw.InUse()) })
 	m.GaugeFunc(MetricMembwUtil, "zeroing-bandwidth utilization in percent of stream capacity", nil,
 		func() float64 { return 100 * float64(bw.InUse()) / float64(bw.Cap()) })
-	m.CounterFunc(MetricMembwBusy, "accumulated busy time across zeroing-bandwidth streams in stream-seconds", nil,
-		func() float64 { return membw.Busy().Seconds() })
+	m.IntegralFunc(MetricMembwBusy, "accumulated busy time across zeroing-bandwidth streams in stream-seconds", nil, bw)
 	m.GaugeFunc("hostmem_free_pages", "free physical pages",
 		[]metrics.Label{{Key: "size", Value: pageSizeLabel(mem.PageSize())}},
 		func() float64 { return float64(mem.FreePages()) })
@@ -81,12 +77,13 @@ func (h *Host) attachMetrics() {
 		func() float64 { return float64(mem.ZeroedBytes) })
 
 	// vfio: devset serialization (the paper's §3.2 bottleneck) and device
-	// lifecycle. Queue depth is event-driven and exact at every transition.
-	q := m.WatchLockQueue(h.Opts.Scope + vfio.DevsetLockPrefix)
+	// lifecycle. The driver tallies its devset lock waiters at every
+	// transition, so depth and peak are exact.
+	q := &h.VFIO.Waiters
 	m.GaugeFunc(MetricDevsetQueueDepth, "containers queued on a vfio devset lock", nil,
-		func() float64 { return float64(q.Depth()) })
+		func() float64 { return float64(q.Depth) })
 	m.GaugeFunc(MetricDevsetQueuePeak, "maximum observed vfio devset lock queue depth", nil,
-		func() float64 { return float64(q.Peak()) })
+		func() float64 { return float64(q.Peak) })
 	m.GaugeFunc("vfio_open_fds", "open vfio device fds host-wide", nil,
 		func() float64 { return float64(h.VFIO.TotalOpens()) })
 	m.CounterFunc("vfio_flr_retries_total", "function-level resets reissued after injected failures", nil,

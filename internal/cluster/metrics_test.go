@@ -4,9 +4,6 @@ import (
 	"bytes"
 	"testing"
 	"time"
-
-	"fastiov/internal/hostmem"
-	"fastiov/internal/vfio"
 )
 
 // meteredHost builds a host with metrics enabled on the given spec.
@@ -74,7 +71,7 @@ func TestMembwConservation(t *testing.T) {
 			pages := h.Mem.ZeroedBytes / spec.Memory.PageSize
 			perImage := time.Duration(h.Opts.Layout.ImageBytes * int64(time.Second) / h.Env.Costs.ImageCopyBytesPerSec)
 			want := time.Duration(pages)*time.Millisecond + time.Duration(tc.imageCopies)*perImage
-			if got := res.Metrics.BusyIntegral(hostmem.MemBWName); got != want {
+			if got := res.Metrics.BusyIntegral(MetricMembwBusy); got != want {
 				t.Errorf("membw busy integral = %v, want exactly %v (%d pages x 1ms + %d image copies x %v)",
 					got, want, pages, tc.imageCopies, perImage)
 			}
@@ -99,12 +96,12 @@ func TestDevsetQueueDepthContrast(t *testing.T) {
 		return h
 	}
 	vh := run(BaselineVanilla)
-	if peak := vh.Metrics.QueuePeak(vfio.DevsetLockPrefix); peak == 0 {
+	if peak := vh.Metrics.Final(MetricDevsetQueuePeak); peak == 0 {
 		t.Error("vanilla: devset queue peak is 0 under a 30-container wave")
 	}
 	fh := run(BaselineFastIOV)
-	if peak := fh.Metrics.QueuePeak(vfio.DevsetLockPrefix); peak != 0 {
-		t.Errorf("fastiov: devset queue peak = %d, want 0 (lock decomposition)", peak)
+	if peak := fh.Metrics.Final(MetricDevsetQueuePeak); peak != 0 {
+		t.Errorf("fastiov: devset queue peak = %v, want 0 (lock decomposition)", peak)
 	}
 }
 

@@ -6,9 +6,7 @@ import (
 	"time"
 
 	"fastiov/internal/cluster"
-	"fastiov/internal/hostmem"
 	"fastiov/internal/stats"
-	"fastiov/internal/vfio"
 )
 
 // saturationSweep expands a max concurrency into the sweep the saturation
@@ -60,10 +58,10 @@ func (x *Exec) Saturation(n int) (*Report, error) {
 			idx++
 			q := reg.Summary(cluster.MetricDevsetQueueDepth)
 			u := reg.Summary(cluster.MetricMembwUtil)
-			peak := reg.QueuePeak(vfio.DevsetLockPrefix)
+			peak := int(reg.Final(cluster.MetricDevsetQueuePeak))
 			peaks[b] = append(peaks[b], peak)
 			t.AddRow(b, c, peak, q.Mean, u.Max, u.Mean,
-				reg.BusyIntegral(hostmem.MemBWName),
+				reg.BusyIntegral(cluster.MetricMembwBusy),
 				reg.Final(cluster.MetricZeroedBytes)/float64(1<<30),
 				reg.Samples())
 		}
@@ -100,7 +98,7 @@ func (x *Exec) Saturation(n int) (*Report, error) {
 		"membw at c=%d: vanilla pins all streams (100%%) for %.0f%% of samples (mean %.0f%%); fastiov defers zeroing off the startup path (mean %.0f%%, busy %v vs %v)",
 		n, 100*fractionAt(van.Series(cluster.MetricMembwUtil), 100), van.Summary(cluster.MetricMembwUtil).Mean,
 		fast.Summary(cluster.MetricMembwUtil).Mean,
-		van.BusyIntegral(hostmem.MemBWName).Round(time.Millisecond), fast.BusyIntegral(hostmem.MemBWName).Round(time.Millisecond)))
+		van.BusyIntegral(cluster.MetricMembwBusy).Round(time.Millisecond), fast.BusyIntegral(cluster.MetricMembwBusy).Round(time.Millisecond)))
 	seedNote(rep, x, "saturation dashboard")
 	return rep, nil
 }

@@ -219,8 +219,8 @@ func (f *Fleet) armCrash(c fault.HostClause, delay time.Duration) {
 // crashHost kills host hi at the current instant: every tracked proc dies
 // in ascending proc-id order (in-flight starts, async vf-init threads),
 // the fastiovd scrubber daemon dies with them, live pods are destroyed
-// releasing nothing, the host's signal watchers are reset (their probes'
-// releases from the kill unwind land first), and the generation's
+// releasing nothing, the host's signals are retired (after the releases
+// from the kill unwind have landed), and the generation's
 // unreturned state is recorded on the LostToCrash ledger. Detection is
 // heartbeat-driven: the scheduler keeps seeing the host as up until the
 // monitor notices the silence.
@@ -252,11 +252,14 @@ func (f *Fleet) crashHost(p *sim.Proc, hi int) {
 	f.lostPods += len(f.live[hi])
 	f.live[hi] = nil
 
-	// Reset the watchers after the kills so the deferred releases of the
-	// dying procs are charged to the dead generation, then freeze.
+	// Retire the signals after the kills so the deferred releases of the
+	// dying procs are charged to the dead generation: its busy integral
+	// freezes into the slot's carry, and killed lock waiters, which no
+	// handoff will ever dequeue, stop counting as queued.
 	now := p.Now()
-	f.membw[hi].Reset(now)
-	f.queues[hi].Reset()
+	f.membwDead[hi] += f.membw[hi].BusyAt(now)
+	f.membw[hi] = nil
+	f.queues[hi].Depth = 0
 
 	// The crash snapshot is taken after the kill sweep: whatever the
 	// unwinds gave back (CPU units, bandwidth streams) is not lost; what
@@ -301,6 +304,12 @@ func (f *Fleet) recoverHost(q *sim.Proc, hi int) {
 		f.errs = append(f.errs, fmt.Errorf("fleet: host %d recovery (gen %d): %w", hi, gen, err))
 		return
 	}
+	// Bind the new generation's signals at boot, before the readiness
+	// cost: whatever it does from here on is charged to the slot while the
+	// scheduler still sees it recovering. The queue peak carries over: it
+	// is the slot's deepest queue across generations.
+	h.VFIO.Waiters.Peak = max(h.VFIO.Waiters.Peak, f.queues[hi].Peak)
+	f.bindSignals(hi, h)
 	q.Sleep(h.RecoveryCost(lost))
 
 	f.Hosts[hi] = h

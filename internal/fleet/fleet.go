@@ -5,9 +5,10 @@
 // so the fleet run is bit-for-bit deterministic per seed while hosts never
 // share or collide random state. Placement policies (scheduler.go) read
 // per-host signals — free VFs, in-flight starts, devset lock queue depth,
-// membw busy integral — from always-on, read-only metrics watchers, which
-// cost no simulated time and no randomness: observing a host to schedule on
-// it never perturbs it.
+// membw busy integral — straight from the host's sim state (the VFIO
+// driver's waiter tally, the membw resource's busy integral). Reading them
+// costs no simulated time and no randomness: observing a host to schedule
+// on it never perturbs it.
 package fleet
 
 import (
@@ -20,12 +21,10 @@ import (
 	"fastiov/internal/cluster"
 	"fastiov/internal/cri"
 	"fastiov/internal/fault"
-	"fastiov/internal/hostmem"
 	"fastiov/internal/metrics"
 	"fastiov/internal/sim"
 	"fastiov/internal/stats"
 	"fastiov/internal/trace"
-	"fastiov/internal/vfio"
 )
 
 // DefaultJitter spreads fleet arrivals over this window when the config
@@ -100,8 +99,8 @@ type Config struct {
 	// kernel; per-host critical paths are verified against each host's
 	// telemetry. Never perturbs the run.
 	Trace bool
-	// Metrics attaches a fleet-level sampled registry (fleet gauges +
-	// per-host watcher-backed signals). Never perturbs the run.
+	// Metrics attaches a fleet-level sampled registry (fleet gauges over
+	// the per-host signals). Never perturbs the run.
 	Metrics        bool
 	MetricsCadence time.Duration
 	// Audit stops every surviving sandbox after measurement and checks
@@ -148,14 +147,13 @@ type Fleet struct {
 	// Sched is the placement policy instance.
 	Sched Scheduler
 
-	// signals is the always-on, never-started watcher registry backing the
-	// scheduler's per-host queue-depth and membw signals. It is pure
-	// event-driven bookkeeping: chaining it costs nothing and it is chained
-	// unconditionally, so scheduled runs render identically whether or not
-	// the sampled registry is attached.
-	signals *metrics.Registry
-	membw   []*metrics.ResourceWatch
-	queues  []*metrics.QueueWatch
+	// Per-host signal sources, bound to each host generation as it boots.
+	// queues[i] is the VFIO driver's devset waiter tally. membw[i] is the
+	// zeroing-bandwidth resource (nil while the host is down), and
+	// membwDead[i] the busy integral of host i's crashed generations.
+	queues    []*sim.QueueStat
+	membw     []*sim.Resource
+	membwDead []time.Duration
 
 	// Placement bookkeeping, maintained by Dispatch.
 	inflight                                 []int
@@ -197,9 +195,9 @@ type Fleet struct {
 }
 
 // New boots the fleet: one shared kernel, the optional tracer first (so its
-// stream covers host boot), the signal watchers, then each host under its
-// own scope and derived PRNG stream, and finally the optional sampled
-// metrics registry and the scheduler.
+// stream covers host boot), then each host under its own scope and derived
+// PRNG stream, and finally the optional sampled metrics registry and the
+// scheduler.
 func New(cfg Config) (*Fleet, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.HostSpecs) == 0 {
@@ -217,23 +215,18 @@ func New(cfg Config) (*Fleet, error) {
 	if cfg.Trace {
 		f.Tracer = trace.Attach(f.K)
 	}
-	f.signals = metrics.New(0)
-	f.K.ChainProbe(f.signals.Observer())
 
 	n := len(cfg.HostSpecs)
 	f.Hosts = make([]*cluster.Host, n)
-	f.membw = make([]*metrics.ResourceWatch, n)
-	f.queues = make([]*metrics.QueueWatch, n)
+	f.queues = make([]*sim.QueueStat, n)
+	f.membw = make([]*sim.Resource, n)
+	f.membwDead = make([]time.Duration, n)
 	f.inflight = make([]int, n)
 	f.placements = make([]int, n)
 	f.live = make([][]*cri.Sandbox, n)
 	for i, spec := range cfg.HostSpecs {
-		scope := Scope(i)
-		f.membw[i] = f.signals.WatchResource(scope + hostmem.MemBWName)
-		f.queues[i] = f.signals.WatchLockQueue(scope + vfio.DevsetLockPrefix)
-
 		opts := base
-		opts.Scope = scope
+		opts.Scope = Scope(i)
 		opts.Seed = sim.SplitSeed(cfg.Seed, uint64(i))
 		opts.Faults = cfg.Faults
 		// The fleet owns observability and lifecycle: hosts must not install
@@ -247,6 +240,7 @@ func New(cfg Config) (*Fleet, error) {
 			return nil, fmt.Errorf("fleet: host %d: %w", i, err)
 		}
 		f.Hosts[i] = h
+		f.bindSignals(i, h)
 	}
 
 	// Failure domains arm only for plans with host-scoped crash clauses:
@@ -264,7 +258,6 @@ func New(cfg Config) (*Fleet, error) {
 		if cfg.RegisterMetrics != nil {
 			cfg.RegisterMetrics(f.Metrics)
 		}
-		f.K.ChainProbe(f.Metrics.Observer())
 		f.Metrics.Start(f.K)
 	}
 
@@ -273,6 +266,22 @@ func New(cfg Config) (*Fleet, error) {
 		return nil, err
 	}
 	return f, nil
+}
+
+// bindSignals points host slot i's signal sources at generation h.
+func (f *Fleet) bindSignals(i int, h *cluster.Host) {
+	f.queues[i] = &h.VFIO.Waiters
+	f.membw[i] = h.Mem.Bandwidth()
+}
+
+// membwBusy is host slot i's membw busy integral through the latest
+// transition, summed over every generation that has run in the slot.
+func (f *Fleet) membwBusy(i int) time.Duration {
+	busy := f.membwDead[i]
+	if r := f.membw[i]; r != nil {
+		busy += r.Busy()
+	}
+	return busy
 }
 
 // attachMetrics registers the fleet-level instruments.
@@ -295,21 +304,15 @@ func (f *Fleet) attachMetrics() {
 			return float64(total)
 		})
 	m.GaugeFunc(MetricFleetQueueDepth, "vfio devset lock waiters summed across hosts", nil,
-		func() float64 {
-			total := 0
-			for _, q := range f.queues {
-				total += q.Depth()
-			}
-			return float64(total)
-		})
+		func() float64 { return float64(f.DevsetWaiters()) })
 	f.startupHist = m.NewHistogram("fleet_startup_seconds", "end-to-end container startup latency fleet-wide", nil,
 		[]float64{0.25, 0.5, 1, 2, 4, 8, 16, 32})
 }
 
 // states snapshots every host's scheduler view at the current instant into
 // the fleet's reusable buffer, which the caller must finish reading before
-// it yields. Pure observation: live substrate reads plus watcher state, no
-// simulated time, no PRNG draws.
+// it yields. Pure observation: live substrate reads, no simulated time, no
+// PRNG draws.
 func (f *Fleet) states() []HostState {
 	if len(f.stateBuf) != len(f.Hosts) {
 		f.stateBuf = make([]HostState, len(f.Hosts))
@@ -321,8 +324,8 @@ func (f *Fleet) states() []HostState {
 			CapVFs:     h.Spec.NumVFs,
 			FreeVFs:    h.NIC.FreeVFs(),
 			Inflight:   f.inflight[i],
-			QueueDepth: f.queues[i].Depth(),
-			MembwBusy:  f.membw[i].Busy(),
+			QueueDepth: f.queues[i].Depth,
+			MembwBusy:  f.membwBusy(i),
 		}
 		if f.health != nil {
 			out[i].Health = f.health[i]
@@ -359,7 +362,7 @@ func (f *Fleet) FreeVFHeadroom() int {
 func (f *Fleet) DevsetWaiters() int {
 	total := 0
 	for _, q := range f.queues {
-		total += q.Depth()
+		total += q.Depth
 	}
 	return total
 }
@@ -367,8 +370,8 @@ func (f *Fleet) DevsetWaiters() int {
 // MembwBusyTotal sums every host's zeroing-bandwidth busy integral so far.
 func (f *Fleet) MembwBusyTotal() time.Duration {
 	var total time.Duration
-	for _, w := range f.membw {
-		total += w.Busy()
+	for i := range f.membw {
+		total += f.membwBusy(i)
 	}
 	return total
 }
@@ -699,8 +702,8 @@ func (f *Fleet) Finish() *Result {
 	res.QueuePeaks = make([]int, len(f.Hosts))
 	res.MembwBusy = make([]time.Duration, len(f.Hosts))
 	for i := range f.Hosts {
-		res.QueuePeaks[i] = f.queues[i].Peak()
-		res.MembwBusy[i] = f.membw[i].Busy()
+		res.QueuePeaks[i] = f.queues[i].Peak
+		res.MembwBusy[i] = f.membwBusy(i)
 	}
 	res.Trace = f.Tracer
 
@@ -722,9 +725,10 @@ func (f *Fleet) Finish() *Result {
 	}
 
 	if cfg.Audit {
-		// Detach the probe before teardown so the trace stream, the sealed
-		// registry, and the watcher peaks cover exactly the measured phase —
-		// audited runs stay byte-identical to unaudited ones.
+		// Detach the tracer before teardown so the trace stream, like the
+		// registry sealed and the per-host signals read above, covers
+		// exactly the measured phase — audited runs stay byte-identical to
+		// unaudited ones.
 		f.K.SetProbe(nil)
 		for hi, sbs := range live {
 			h := f.Hosts[hi]

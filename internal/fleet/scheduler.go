@@ -1,10 +1,10 @@
 // Fleet scheduling: the placement policies that choose a host for each
 // arriving container start. Policies see a read-only HostState snapshot per
-// host, taken at the arrival instant from live substrate state and the
-// event-driven metrics watchers (free VFs, in-flight starts, devset lock
-// queue depth, membw busy integral). Every policy is deterministic given
-// its inputs (the random policy draws from its own injected PRNG stream),
-// so fleet runs stay bit-for-bit reproducible.
+// host, taken at the arrival instant from live substrate state (free VFs,
+// in-flight starts, the devset lock waiter tally, the membw busy
+// integral). Every policy is deterministic given its inputs (the random
+// policy draws from its own injected PRNG stream), so fleet runs stay
+// bit-for-bit reproducible.
 package fleet
 
 import (

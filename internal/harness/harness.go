@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 )
@@ -175,14 +176,22 @@ func (p *Pool) resolve(job Job) (any, error) {
 	}
 	p.mu.Unlock()
 
+	defer close(e.done)
 	e.val, e.err = p.execute(job, verify)
-	close(e.done)
 	return e.val, e.err
 }
 
-// execute runs the job, doubling the run in verify mode.
-func (p *Pool) execute(job Job, verify bool) (any, error) {
-	val, err := job.Fn()
+// execute runs the job, doubling the run in verify mode. A panic in the
+// job or its fingerprint becomes the job's error, carrying the key, the
+// panic value and the stack, so one bad scenario fails its own result
+// instead of the whole process.
+func (p *Pool) execute(job Job, verify bool) (val any, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			val, err = nil, fmt.Errorf("%s: panic: %v\n%s", job.Key, r, debug.Stack())
+		}
+	}()
+	val, err = job.Fn()
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", job.Key, err)
 	}

@@ -129,6 +129,44 @@ func TestErrorsAreCachedAndDeduplicated(t *testing.T) {
 	}
 }
 
+// TestPanickingJobBecomesCachedError runs a job whose Fn panics: the pool
+// must return an error naming the key, the panic value and the stack, and
+// a second resolve of the same key must get that cached error instead of
+// blocking on a never-closed entry.
+func TestPanickingJobBecomesCachedError(t *testing.T) {
+	p := New(1)
+	var runs atomic.Int64
+	bad := job("t", "boom", 3, func() (any, error) {
+		runs.Add(1)
+		panic("scenario exploded")
+	})
+	_, err := p.One(bad)
+	if err == nil {
+		t.Fatal("panicking job returned no error")
+	}
+	for _, want := range []string{bad.Key.String(), "panic: scenario exploded", "harness_test.go"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q missing %q", err, want)
+		}
+	}
+	again := make(chan error, 1)
+	go func() {
+		_, err := p.One(bad)
+		again <- err
+	}()
+	select {
+	case err2 := <-again:
+		if err2 == nil || err2.Error() != err.Error() {
+			t.Fatalf("second resolve = %v, want the cached error", err2)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("second resolve of a panicked key blocked")
+	}
+	if runs.Load() != 1 {
+		t.Fatalf("executions = %d, want 1 (the failure is cached)", runs.Load())
+	}
+}
+
 func TestVerifyModeCatchesNondeterminism(t *testing.T) {
 	p := New(1)
 	p.SetVerify(true)

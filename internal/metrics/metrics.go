@@ -13,12 +13,12 @@
 //     takes no locks, holds no resources, and never touches the kernel's
 //     PRNG, so the relative order of every other event is unchanged and a
 //     metrics-enabled run renders byte-identically to a metrics-off run.
-//   - Event-driven watchers (resource busy integrals, lock queue depths)
-//     hang off the kernel probe stream (internal/sim probe hooks) and only
-//     observe.
+//   - Exact event-granular signals (a resource's busy integral, a lock
+//     queue's depth and peak) are counters the sim primitives keep
+//     themselves; the registry only reads them.
 //
-// After Seal, the registry is frozen: final values are snapshotted, probe
-// events are ignored, and the three exporters (OpenMetrics text, CSV time
+// After Seal, the registry is frozen: final values are snapshotted,
+// samples are ignored, and the three exporters (OpenMetrics text, CSV time
 // series, ASCII dashboard) render byte-deterministic output — a pure
 // function of the seeded simulation.
 package metrics
@@ -82,6 +82,10 @@ type instrument struct {
 	// cumulative observation count instead.
 	fn   func() float64
 	hist *Histogram
+	// res backs an IntegralFunc counter; sealedBusy is its integral frozen
+	// at Seal.
+	res        *sim.Resource
+	sealedBusy time.Duration
 
 	// series holds one sampled value per registry tick.
 	series []float64
@@ -223,73 +227,14 @@ func (h *Histogram) CountAbove(v float64) uint64 {
 	return h.total - le
 }
 
-// ResourceWatch tracks a sim.Resource through the probe stream, maintaining
-// the exact time-weighted busy integral (units x time): every acquire and
-// release updates the integral at event granularity, so conservation
-// properties hold exactly instead of up to sampling error.
-type ResourceWatch struct {
-	name  string
-	inUse int64
-	last  sim.Duration
-	busy  int64 // unit-nanoseconds
-}
-
-// InUse returns the units currently held, as observed via the probe.
-func (w *ResourceWatch) InUse() int64 { return w.inUse }
-
-// Busy returns the accumulated busy integral in unit-seconds, expressed as
-// a duration (1 unit held for 1 s == 1 s).
-func (w *ResourceWatch) Busy() time.Duration { return time.Duration(w.busy) }
-
-// update advances the integral to at, then applies the in-use delta.
-func (w *ResourceWatch) update(at sim.Duration, delta int64) {
-	w.busy += w.inUse * int64(at-w.last)
-	w.last = at
-	w.inUse += delta
-}
-
-// Reset zeroes the in-use level after advancing the busy integral to at.
-// A host crash kills procs that hold units without a release probe ever
-// firing; the fleet calls Reset at the crash instant so the integral stops
-// charging the dead holders and the recovered generation (whose primitives
-// reuse the scoped name) starts from an empty watch.
-func (w *ResourceWatch) Reset(at sim.Duration) {
-	w.busy += w.inUse * int64(at-w.last)
-	w.last = at
-	w.inUse = 0
-}
-
-// QueueWatch tracks the waiter-queue depth of every lock whose name matches
-// a prefix, via the probe stream: a Block on the lock enters the queue, a
-// contended Acquire (FIFO handoff, Waker != nil) leaves it. Peak is exact —
-// it observes every transition, not just sample instants.
-type QueueWatch struct {
-	prefix string
-	depth  int
-	peak   int
-}
-
-// Depth returns the current waiter count.
-func (q *QueueWatch) Depth() int { return q.depth }
-
-// Peak returns the maximum waiter count observed.
-func (q *QueueWatch) Peak() int { return q.peak }
-
-// Reset zeroes the current depth, keeping the peak. A host crash kills
-// blocked waiters whose dequeue handoff never fires; the fleet calls Reset
-// at the crash instant so the corpses stop counting as queued.
-func (q *QueueWatch) Reset() { q.depth = 0 }
-
 // Registry is a set of instruments plus their sampled time series.
 type Registry struct {
-	cadence   time.Duration
-	insts     []*instrument
-	byID      map[string]*instrument
-	times     []sim.Duration
-	end       sim.Duration
-	sealed    bool
-	resources map[string]*ResourceWatch
-	queues    []*QueueWatch
+	cadence time.Duration
+	insts   []*instrument
+	byID    map[string]*instrument
+	times   []sim.Duration
+	end     sim.Duration
+	sealed  bool
 }
 
 // New returns an empty registry sampling at the given cadence (<= 0 selects
@@ -298,11 +243,7 @@ func New(cadence time.Duration) *Registry {
 	if cadence <= 0 {
 		cadence = DefaultCadence
 	}
-	return &Registry{
-		cadence:   cadence,
-		byID:      make(map[string]*instrument),
-		resources: make(map[string]*ResourceWatch),
-	}
+	return &Registry{cadence: cadence, byID: make(map[string]*instrument)}
 }
 
 // Cadence returns the sampling interval.
@@ -341,77 +282,23 @@ func (r *Registry) NewHistogram(name, help string, labels []Label, buckets []flo
 	return h
 }
 
-// WatchResource registers an event-driven busy-integral tracker for the
-// named sim.Resource. The returned watch is fed by Observer; it must be
-// registered before any simulated work runs.
-func (r *Registry) WatchResource(name string) *ResourceWatch {
-	if w, ok := r.resources[name]; ok {
-		return w
+// IntegralFunc registers a counter reading res's busy integral in
+// unit-seconds. Samples read res.Busy(), the integral through the latest
+// acquire or release; Seal extends it to the seal instant and freezes it,
+// so post-measurement phases (audit teardown, later churn waves) never
+// move the final or BusyIntegral.
+func (r *Registry) IntegralFunc(name, help string, labels []Label, res *sim.Resource) {
+	in := &instrument{name: name, help: help, labels: labels, kind: KindCounter, res: res}
+	in.fn = func() float64 { return r.integral(in).Seconds() }
+	r.register(in)
+}
+
+// integral reads an IntegralFunc instrument: live before Seal, frozen after.
+func (r *Registry) integral(in *instrument) time.Duration {
+	if r.sealed {
+		return in.sealedBusy
 	}
-	w := &ResourceWatch{name: name}
-	r.resources[name] = w
-	return w
-}
-
-// WatchLockQueue registers an event-driven waiter-queue tracker for every
-// mutex/rwmutex whose name starts with prefix.
-func (r *Registry) WatchLockQueue(prefix string) *QueueWatch {
-	q := &QueueWatch{prefix: prefix}
-	r.queues = append(r.queues, q)
-	return q
-}
-
-// lockClass reports whether a probe wait class is a mutex-family lock.
-func lockClass(c sim.WaitClass) bool {
-	return c == sim.WaitMutex || c == sim.WaitRWRead || c == sim.WaitRWWrite
-}
-
-// Observer returns the registry's kernel probe: it feeds the resource and
-// lock-queue watchers and only observes (it never calls back into the
-// scheduler). Install it with sim.Kernel.ChainProbe so it composes with the
-// tracing probe.
-func (r *Registry) Observer() func(at sim.Duration, ev sim.ProbeEvent) {
-	return func(at sim.Duration, ev sim.ProbeEvent) {
-		if r.sealed {
-			return
-		}
-		switch ev.Kind {
-		case sim.ProbeAcquire:
-			if ev.Class == sim.WaitResource {
-				if w := r.resources[ev.Obj]; w != nil {
-					w.update(at, ev.N)
-				}
-				return
-			}
-			// A contended FIFO handoff (Waker != nil) is the instant the
-			// waiter leaves the lock's queue; uncontended acquires never
-			// queued.
-			if ev.Waker != nil && lockClass(ev.Class) {
-				for _, q := range r.queues {
-					if strings.HasPrefix(ev.Obj, q.prefix) {
-						q.depth--
-					}
-				}
-			}
-		case sim.ProbeRelease:
-			if ev.Class == sim.WaitResource {
-				if w := r.resources[ev.Obj]; w != nil {
-					w.update(at, -ev.N)
-				}
-			}
-		case sim.ProbeBlock:
-			if lockClass(ev.Class) {
-				for _, q := range r.queues {
-					if strings.HasPrefix(ev.Obj, q.prefix) {
-						q.depth++
-						if q.depth > q.peak {
-							q.peak = q.depth
-						}
-					}
-				}
-			}
-		}
-	}
+	return in.res.Busy()
 }
 
 // Start launches the sampler as a daemon Proc: it snapshots every
@@ -438,22 +325,24 @@ func (r *Registry) sample(at sim.Duration) {
 	}
 }
 
-// Seal freezes the registry at the end of the measured phase: resource
+// Seal freezes the registry at the end of the measured phase: busy
 // integrals are extended to end, every instrument's final value is
-// snapshotted, and all further probe events and samples are ignored.
-// Idempotent — only the first call takes effect.
+// snapshotted, and all further samples are ignored. Idempotent — only the
+// first call takes effect.
 func (r *Registry) Seal(end sim.Duration) {
 	if r.sealed {
 		return
 	}
-	for _, w := range r.resources {
-		w.update(end, 0)
-	}
 	for _, in := range r.insts {
-		in.final = in.value()
+		if in.res != nil {
+			in.sealedBusy = in.res.BusyAt(end)
+		}
 	}
 	r.end = end
 	r.sealed = true
+	for _, in := range r.insts {
+		in.final = in.value()
+	}
 }
 
 // Sealed reports whether the registry has been frozen.
@@ -494,22 +383,12 @@ func (r *Registry) Final(id string) float64 {
 	return 0
 }
 
-// BusyIntegral returns the exact time-weighted busy integral of a watched
-// resource (unit-seconds as a duration), or 0 if the resource is unwatched.
-func (r *Registry) BusyIntegral(resource string) time.Duration {
-	if w, ok := r.resources[resource]; ok {
-		return w.Busy()
-	}
-	return 0
-}
-
-// QueuePeak returns the exact peak waiter depth of the first queue watch
-// with the given prefix (0 if none).
-func (r *Registry) QueuePeak(prefix string) int {
-	for _, q := range r.queues {
-		if q.prefix == prefix {
-			return q.peak
-		}
+// BusyIntegral returns the exact busy integral of an IntegralFunc
+// instrument id (unit-seconds as a duration, frozen at Seal), or 0 if id
+// is not one.
+func (r *Registry) BusyIntegral(id string) time.Duration {
+	if in, ok := r.byID[id]; ok && in.res != nil {
+		return r.integral(in)
 	}
 	return 0
 }

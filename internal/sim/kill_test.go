@@ -62,10 +62,13 @@ func TestKillNeverStartedProc(t *testing.T) {
 }
 
 // TestKillMutexWaiterSkipsHandoff kills a proc parked in Mutex.Lock: Unlock
-// must hand the mutex to the next live waiter, not the corpse.
+// must hand the mutex to the next live waiter, not the corpse. The corpse
+// is never handed the lock, so the waiter tally never dequeues it.
 func TestKillMutexWaiterSkipsHandoff(t *testing.T) {
 	k := NewKernel(1)
 	m := NewMutex("m")
+	var q QueueStat
+	m.TallyWaiters(&q)
 	var got []string
 	k.Go("holder", func(p *Proc) {
 		m.Lock(p)
@@ -94,6 +97,9 @@ func TestKillMutexWaiterSkipsHandoff(t *testing.T) {
 	}
 	if m.Locked() {
 		t.Error("mutex still held after drain")
+	}
+	if q.Depth != 1 || q.Peak != 2 {
+		t.Errorf("waiter depth/peak = %d/%d, want 1/2 (the corpse stays counted)", q.Depth, q.Peak)
 	}
 }
 

@@ -112,22 +112,6 @@ type ProbeEvent struct {
 // the scheduler.
 func (k *Kernel) SetProbe(fn func(at Duration, ev ProbeEvent)) { k.probe = fn }
 
-// ChainProbe installs fn downstream of any already-installed probe: each
-// event is delivered first to the existing probe, then to fn. This lets
-// independent observers (tracing, metrics) share the single probe slot.
-// Like SetProbe, it must be called before any simulated work runs.
-func (k *Kernel) ChainProbe(fn func(at Duration, ev ProbeEvent)) {
-	prev := k.probe
-	if prev == nil {
-		k.probe = fn
-		return
-	}
-	k.probe = func(at Duration, ev ProbeEvent) {
-		prev(at, ev)
-		fn(at, ev)
-	}
-}
-
 // probing reports whether emissions are currently observable. Every
 // emission site guards its emit call with this check, so an unobserved run
 // pays one inlined nil-check per site and never materializes probe-event

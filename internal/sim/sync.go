@@ -2,6 +2,33 @@ package sim
 
 import "fmt"
 
+// QueueStat tallies the Procs queued on the locks bound to it with
+// TallyWaiters. Depth rises when a Proc parks on a bound lock and falls at
+// the FIFO handoff that grants it the lock, not when it resumes; Peak is
+// the largest Depth reached. Transitions during an abort unwind are not
+// counted, and a waiter killed while parked is never granted, so it stays
+// counted until the owner zeroes Depth.
+type QueueStat struct {
+	Depth, Peak int
+}
+
+func (q *QueueStat) enter(k *Kernel) {
+	if q == nil || k.aborted {
+		return
+	}
+	q.Depth++
+	if q.Depth > q.Peak {
+		q.Peak = q.Depth
+	}
+}
+
+func (q *QueueStat) leave(k *Kernel) {
+	if q == nil || k.aborted {
+		return
+	}
+	q.Depth--
+}
+
 // Mutex is a simulated kernel mutex with FIFO handoff semantics: Unlock
 // transfers ownership directly to the longest-waiting Proc, so starvation is
 // impossible and lock acquisition order is deterministic.
@@ -13,6 +40,7 @@ type Mutex struct {
 	name    string
 	owner   *Proc
 	waiters []*Proc
+	tally   *QueueStat
 
 	// Contended counts Lock calls that had to wait; Acquisitions counts all
 	// Lock calls. Experiments use these to report contention statistics.
@@ -25,6 +53,9 @@ func NewMutex(name string) *Mutex { return &Mutex{name: name} }
 
 // Name returns the mutex's name.
 func (m *Mutex) Name() string { return m.name }
+
+// TallyWaiters counts m's waiters in q (see QueueStat).
+func (m *Mutex) TallyWaiters(q *QueueStat) { m.tally = q }
 
 // Lock acquires m, blocking p until the mutex is available.
 func (m *Mutex) Lock(p *Proc) {
@@ -41,6 +72,7 @@ func (m *Mutex) Lock(p *Proc) {
 	}
 	m.Contended++
 	m.waiters = append(m.waiters, p)
+	m.tally.enter(p.k)
 	p.park(WaitMutex, m.name)
 }
 
@@ -76,6 +108,7 @@ func (m *Mutex) Unlock(p *Proc) {
 			continue
 		}
 		m.owner = next
+		m.tally.leave(p.k)
 		if p.k.probing() {
 			p.k.emit(ProbeAcquire, WaitMutex, m.name, next, p, 0)
 		}
@@ -103,6 +136,7 @@ type RWMutex struct {
 	readers int
 	writer  *Proc
 	waiters []rwWaiter
+	tally   *QueueStat
 
 	Contended    uint64
 	Acquisitions uint64
@@ -113,6 +147,9 @@ func NewRWMutex(name string) *RWMutex { return &RWMutex{name: name} }
 
 // Name returns the lock's name.
 func (rw *RWMutex) Name() string { return rw.name }
+
+// TallyWaiters counts rw's waiters, readers and writers alike, in q.
+func (rw *RWMutex) TallyWaiters(q *QueueStat) { rw.tally = q }
 
 // RLock acquires a read (shared) hold.
 func (rw *RWMutex) RLock(p *Proc) {
@@ -126,6 +163,7 @@ func (rw *RWMutex) RLock(p *Proc) {
 	}
 	rw.Contended++
 	rw.waiters = append(rw.waiters, rwWaiter{p, false})
+	rw.tally.enter(p.k)
 	p.park(WaitRWRead, rw.name)
 }
 
@@ -155,6 +193,7 @@ func (rw *RWMutex) Lock(p *Proc) {
 	}
 	rw.Contended++
 	rw.waiters = append(rw.waiters, rwWaiter{p, true})
+	rw.tally.enter(p.k)
 	p.park(WaitRWWrite, rw.name)
 }
 
@@ -185,6 +224,7 @@ func (rw *RWMutex) dispatch(p *Proc) {
 		next := rw.waiters[0].p
 		rw.waiters = rw.waiters[1:]
 		rw.writer = next
+		rw.tally.leave(p.k)
 		if p.k.probing() {
 			p.k.emit(ProbeAcquire, WaitRWWrite, rw.name, next, p, 0)
 		}
@@ -198,6 +238,7 @@ func (rw *RWMutex) dispatch(p *Proc) {
 			continue
 		}
 		rw.readers++
+		rw.tally.leave(p.k)
 		if p.k.probing() {
 			p.k.emit(ProbeAcquire, WaitRWRead, rw.name, next, p, 0)
 		}
@@ -222,6 +263,12 @@ type Resource struct {
 	inUse int64
 	waitq []resWaiter
 
+	// busy is the time-weighted integral of held (unit-nanoseconds) up to
+	// last, the instant of the latest counted transition. held follows
+	// inUse except through abort unwinds, which are not counted.
+	busy, held int64
+	last       Duration
+
 	// MaxInUse tracks the high-water mark, Waits the number of blocking
 	// acquisitions.
 	MaxInUse int64
@@ -245,6 +292,25 @@ func (r *Resource) Cap() int64 { return r.cap }
 // InUse returns the units currently held.
 func (r *Resource) InUse() int64 { return r.inUse }
 
+// Busy returns the busy integral (units held x time, 1 unit for 1 s reads
+// as 1 s) through the latest acquire or release.
+func (r *Resource) Busy() Duration { return Duration(r.busy) }
+
+// BusyAt returns the busy integral extended to t at the current holding.
+func (r *Resource) BusyAt(t Duration) Duration {
+	return Duration(r.busy + r.held*int64(t-r.last))
+}
+
+// count advances the busy integral to now and applies delta to held.
+func (r *Resource) count(k *Kernel, delta int64) {
+	if k.aborted {
+		return
+	}
+	r.busy += r.held * int64(k.now-r.last)
+	r.last = k.now
+	r.held += delta
+}
+
 // Acquire blocks p until n units are available.
 func (r *Resource) Acquire(p *Proc, n int64) {
 	if n > r.cap {
@@ -252,6 +318,7 @@ func (r *Resource) Acquire(p *Proc, n int64) {
 	}
 	if len(r.waitq) == 0 && r.inUse+n <= r.cap {
 		r.take(n)
+		r.count(p.k, n)
 		if p.k.probing() {
 			p.k.emit(ProbeAcquire, WaitResource, r.name, p, nil, n)
 		}
@@ -268,6 +335,7 @@ func (r *Resource) Release(p *Proc, n int64) {
 	if r.inUse < 0 {
 		panic("sim: over-release of " + r.name)
 	}
+	r.count(p.k, -n)
 	if p.k.probing() {
 		p.k.emit(ProbeRelease, WaitResource, r.name, p, nil, n)
 	}
@@ -284,6 +352,7 @@ func (r *Resource) Release(p *Proc, n int64) {
 		w := r.waitq[0]
 		r.waitq = r.waitq[1:]
 		r.take(w.n)
+		r.count(p.k, w.n)
 		if p.k.probing() {
 			p.k.emit(ProbeAcquire, WaitResource, r.name, w.p, p, w.n)
 		}

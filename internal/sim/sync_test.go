@@ -423,3 +423,135 @@ func TestRandFloat64Range(t *testing.T) {
 		}
 	}
 }
+
+// TestResourceBusyIntegral drives a capacity-2 resource through
+// overlapping holds: one unit for 30 ms plus one unit for 10 ms is exactly
+// 40 unit-ms, advanced at every acquire and release.
+func TestResourceBusyIntegral(t *testing.T) {
+	k := NewKernel(1)
+	res := NewResource("pool", 2)
+	k.Go("a", func(p *Proc) {
+		res.Acquire(p, 1)
+		p.Sleep(30 * time.Millisecond)
+		res.Release(p, 1)
+	})
+	k.Go("b", func(p *Proc) {
+		p.Sleep(10 * time.Millisecond)
+		res.Acquire(p, 1)
+		if got := res.BusyAt(p.Now()); got != 10*time.Millisecond {
+			t.Errorf("integral at b's acquire = %v, want 10ms", got)
+		}
+		p.Sleep(10 * time.Millisecond)
+		res.Release(p, 1)
+	})
+	end := k.Run()
+	if got, want := res.Busy(), 40*time.Millisecond; got != want {
+		t.Fatalf("busy integral = %v, want %v", got, want)
+	}
+	if res.BusyAt(end) != res.Busy() {
+		t.Fatal("idle resource's integral grew past its last release")
+	}
+}
+
+// TestQueueStatDepthAndPeak drives three procs through one mutex: with a
+// 30 ms hold, the queue reaches depth 2 and drains one FIFO handoff at a
+// time. Depth falls at the handoff instant, before the granted waiter
+// resumes.
+func TestQueueStatDepthAndPeak(t *testing.T) {
+	k := NewKernel(1)
+	var q QueueStat
+	mu := NewMutex("m")
+	mu.TallyWaiters(&q)
+	for i := 0; i < 3; i++ {
+		i := i
+		k.Go("p", func(p *Proc) {
+			p.Sleep(time.Duration(i) * time.Millisecond)
+			mu.Lock(p)
+			p.Sleep(30 * time.Millisecond)
+			mu.Unlock(p)
+			if i == 0 && q.Depth != 1 {
+				t.Errorf("depth right after the first handoff = %d, want 1", q.Depth)
+			}
+		})
+	}
+	k.Run()
+	if q.Peak != 2 {
+		t.Fatalf("queue peak = %d, want 2", q.Peak)
+	}
+	if q.Depth != 0 {
+		t.Fatalf("queue depth at quiesce = %d, want 0", q.Depth)
+	}
+}
+
+// TestQueueStatRWMutexReaderBatch queues three readers and then a writer
+// behind a held write lock: the writer's Unlock grants the reader batch at
+// once, leaving only the queued writer counted.
+func TestQueueStatRWMutexReaderBatch(t *testing.T) {
+	k := NewKernel(1)
+	var q QueueStat
+	rw := NewRWMutex("rw")
+	rw.TallyWaiters(&q)
+	k.Go("w0", func(p *Proc) {
+		rw.Lock(p)
+		p.Sleep(10 * time.Millisecond)
+		rw.Unlock(p)
+		if q.Depth != 1 {
+			t.Errorf("depth after the reader batch handoff = %d, want 1", q.Depth)
+		}
+	})
+	for i := 0; i < 3; i++ {
+		k.Go("r", func(p *Proc) {
+			p.Sleep(time.Millisecond)
+			rw.RLock(p)
+			p.Sleep(5 * time.Millisecond)
+			rw.RUnlock(p)
+		})
+	}
+	k.Go("w1", func(p *Proc) {
+		p.Sleep(2 * time.Millisecond)
+		rw.Lock(p)
+		rw.Unlock(p)
+	})
+	k.Run()
+	if q.Peak != 4 || q.Depth != 0 {
+		t.Fatalf("peak/depth = %d/%d, want 4/0", q.Peak, q.Depth)
+	}
+}
+
+// TestAbortUnwindIsNotCounted cuts a run off while a daemon holds a
+// resource unit and another waits on a held mutex. The unwind's deferred
+// release and its mutex handoff return the real state but are not counted:
+// Busy stays at the last counted transition, BusyAt extends it to the end,
+// and the parked waiter stays queued.
+func TestAbortUnwindIsNotCounted(t *testing.T) {
+	k := NewKernel(1)
+	res := NewResource("pool", 1)
+	var q QueueStat
+	mu := NewMutex("m")
+	mu.TallyWaiters(&q)
+	k.GoDaemon("holder", func(p *Proc) {
+		p.Sleep(2 * time.Millisecond)
+		mu.Lock(p)
+		defer mu.Unlock(p)
+		res.Use(p, 1, time.Hour)
+	})
+	k.GoDaemon("waiter", func(p *Proc) {
+		p.Sleep(3 * time.Millisecond)
+		mu.Lock(p)
+		mu.Unlock(p)
+	})
+	k.Go("main", func(p *Proc) { p.Sleep(10 * time.Millisecond) })
+	end := k.Run()
+	if res.InUse() != 0 {
+		t.Fatalf("unwind did not return the unit: in-use %d", res.InUse())
+	}
+	if res.Busy() != 0 {
+		t.Fatalf("Busy = %v, want 0 (the unwind's release is not counted)", res.Busy())
+	}
+	if got := res.BusyAt(end); got != 8*time.Millisecond {
+		t.Fatalf("BusyAt(end) = %v, want 8ms", got)
+	}
+	if q.Depth != 1 || q.Peak != 1 {
+		t.Fatalf("depth/peak = %d/%d, want 1/1 (the unwind's handoff is not counted)", q.Depth, q.Peak)
+	}
+}

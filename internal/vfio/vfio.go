@@ -110,10 +110,13 @@ type Driver struct {
 
 	// Scope prefixes every lock name the driver creates (devset and
 	// per-device locks). Multi-host simulations sharing one kernel set a
-	// per-host scope (e.g. "h003-") before the first Register so name-matching
-	// observers (trace profiles, metrics queue watchers) can tell hosts
+	// per-host scope (e.g. "h003-") before the first Register so
+	// name-matching observers (trace contention profiles) can tell hosts
 	// apart; the empty default keeps the historical names.
 	Scope string
+	// Waiters tallies the Procs queued on every devset lock the driver
+	// owns, summed across devsets (the paper's §3.2 serialization signal).
+	Waiters sim.QueueStat
 
 	busSets   map[int]*DevSet // bus number -> shared devset
 	devices   map[*pci.Device]*Device
@@ -230,11 +233,19 @@ const DevLockPrefix = "vfio-dev-"
 
 func (d *Driver) newSet() *DevSet {
 	d.nextSet++
-	return &DevSet{
+	s := &DevSet{
 		ID:     d.nextSet,
 		global: sim.NewMutex(fmt.Sprintf("%s%s%d", d.Scope, DevsetLockPrefix, d.nextSet)),
 		rw:     sim.NewRWMutex(fmt.Sprintf("%s%s%d", d.Scope, DevsetLockPrefix, d.nextSet)),
 	}
+	s.tally(&d.Waiters)
+	return s
+}
+
+// tally binds both of the devset's locks to the driver's waiter tally.
+func (s *DevSet) tally(q *sim.QueueStat) {
+	s.global.TallyWaiters(q)
+	s.rw.TallyWaiters(q)
 }
 
 // Clone returns a deep copy of the driver bound to kernel k, with every
@@ -279,6 +290,7 @@ func (d *Driver) Clone(k *sim.Kernel, topo *pci.Topology, mem *hostmem.Allocator
 			global:    sim.NewMutex(s.global.Name()),
 			rw:        sim.NewRWMutex(s.rw.Name()),
 		}
+		cs.tally(&c.Waiters)
 		setMap[s] = cs
 		// Member order is preserved: ResetSet iterates it, so a reordered
 		// clone would simulate differently.
